@@ -8,7 +8,7 @@ costs exactly k synchronization steps and O(m/p + k) metered time.
 Results are identical for every processor count and backend, and equal
 to the sequential textbook procedures in oracle.py.
 """
-from .elim import NIL, ElimGraph, ElimVertex
+from .elim import NIL, ElimGraph
 from .engine import SIMULATED, THREADED, CostReport, ParEngine
 from .errors import (
     AlreadyEliminated,
@@ -32,7 +32,7 @@ from .generators import (
     sample9,
     star_out,
 )
-from .graph import ArcRef, Graph, parse_edge_list, serialize_edge_list
+from .graph import Graph, parse_edge_list, serialize_edge_list
 from .instrument import COUNTERS, PARANOID, InvariantMonitor
 from .oracle import seq_bfs, seq_dfs
 from .result import TraversalResult
@@ -51,7 +51,6 @@ from .traverse import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcRef",
     "AlreadyEliminated",
     "BFS",
     "COUNTERS",
@@ -63,7 +62,6 @@ __all__ = [
     "EdgeListSyntaxError",
     "ElimGraph",
     "ElimGraphReused",
-    "ElimVertex",
     "Graph",
     "GraphError",
     "InvalidStart",

@@ -38,7 +38,24 @@ class EdgeListSyntaxError(GraphError):
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        # named base: the located arc errors below have two parents
+        GraphError.__init__(self, f"line {line_no}: {message}")
+
+
+class DuplicateArcLine(EdgeListSyntaxError, DuplicateArc):
+    """A repeated arc in an edge-list file, at the line that repeats it."""
+
+    def __init__(self, line_no: int, source: int, target: int):
+        DuplicateArc.__init__(self, source, target)
+        EdgeListSyntaxError.__init__(self, line_no, str(self))
+
+
+class TargetOutOfRangeLine(EdgeListSyntaxError, TargetOutOfRange):
+    """An arc line of an edge-list file whose target is not a vertex."""
+
+    def __init__(self, line_no: int, source: int, slot: int, target: int, num_vertices: int):
+        TargetOutOfRange.__init__(self, source, slot, target, num_vertices)
+        EdgeListSyntaxError.__init__(self, line_no, str(self))
 
 
 class CountMismatch(GraphError):
@@ -69,7 +86,10 @@ class InvalidStart(GraphError):
     def __init__(self, start: int, num_vertices: int):
         self.start = start
         self.num_vertices = num_vertices
-        super().__init__(f"start vertex {start} not in 0..{num_vertices - 1}")
+        if num_vertices == 0:
+            super().__init__(f"start vertex {start}: the graph has no vertices")
+        else:
+            super().__init__(f"start vertex {start} not in 0..{num_vertices - 1}")
 
 
 class TooManyArcs(GraphError):

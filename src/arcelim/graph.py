@@ -13,16 +13,10 @@ per source list, and both guarantees break on repeated arcs.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .errors import CountMismatch, DuplicateArc, EdgeListSyntaxError, TargetOutOfRange
-
-
-class ArcRef(NamedTuple):
-    """An arc identified by its source vertex and slot in the source's list."""
-
-    source: int
-    slot: int
+from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSyntaxError,
+                     TargetOutOfRange, TargetOutOfRangeLine)
 
 
 class Graph:
@@ -88,7 +82,9 @@ def parse_edge_list(text: str) -> Graph:
     arc ``u v`` (0-based).  Per-source adjacency order is the order of
     appearance in the file.  Lines starting with ``#`` are comments; blank
     lines, trailing whitespace, and CRLF endings are tolerated.  Exactly m
-    arc lines are required.
+    arc lines are required.  Duplicate arcs and out-of-range targets raise
+    EdgeListSyntaxError subclasses (also DuplicateArc / TargetOutOfRange)
+    naming the offending line.
     """
     header: tuple[int, int] | None = None
     lists: list[list[int]] = []
@@ -125,7 +121,25 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListSyntaxError(0, "empty input, missing 'n m' header")
     if seen != header[1]:
         raise CountMismatch(header[1], seen)
-    return Graph.from_adjacency(lists)
+    try:
+        return Graph.from_adjacency(lists)
+    except DuplicateArc as err:
+        at = [no for no, u, v in _arc_lines(text) if (u, v) == (err.source, err.target)]
+        raise DuplicateArcLine(at[1], err.source, err.target) from None
+    except TargetOutOfRange as err:
+        at = [no for no, u, _ in _arc_lines(text) if u == err.source]
+        raise TargetOutOfRangeLine(at[err.slot], err.source, err.slot, err.target,
+                                   err.num_vertices) from None
+
+
+def _arc_lines(text: str) -> Iterable[tuple[int, int, int]]:
+    """(line number, source, target) of every arc line of an edge list that
+    parse_edge_list already read; used only to locate a rejected arc."""
+    records = ((line_no, raw.split()) for line_no, raw in enumerate(text.splitlines(), start=1)
+               if raw.strip() and not raw.strip().startswith("#"))
+    next(records)  # the header
+    for line_no, (u, v) in records:
+        yield line_no, int(u), int(v)
 
 
 def serialize_edge_list(g: Graph) -> str:

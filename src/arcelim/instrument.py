@@ -54,20 +54,20 @@ class InvariantMonitor:
         self.eg = eg
         eg.monitor = self
         self._live_in = list(eg.indeg)
-        self._eliminated = [bytearray(d) for d in eg.outdeg]
+        self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------
 
-    def on_eliminate(self, source: int, slot: int) -> None:
+    def on_eliminate(self, arc: int) -> None:
         # threaded backends eliminate from worker threads
         with self._lock:
-            flags = self._eliminated[source]
-            if flags[slot]:
+            if self._eliminated[arc]:
+                u = self.eg.src[arc]
                 raise InvariantViolation(
-                    f"arc (source {source}, slot {slot}) eliminated twice"
+                    f"arc (source {u}, slot {arc - self.eg.off[u]}) eliminated twice"
                 )
-            flags[slot] = 1
-            self._live_in[self.eg.out[source][slot]] -= 1
+            self._eliminated[arc] = 1
+            self._live_in[self.eg.tgt[arc]] -= 1
             self.stats["eliminations"] += 1
 
     def after_visit(self, v: int) -> None:
@@ -109,13 +109,14 @@ class InvariantMonitor:
         """End-of-traversal structural audit (all levels)."""
         self.verify_structure()
         eg = self.eg
+        off, tgt, flags = eg.off, eg.tgt, self._eliminated
         visited = [eg.traversal[v] is not None for v in range(eg.n)]
         for u in range(eg.n):
-            flags = self._eliminated[u]
-            for i, t in enumerate(eg.out[u]):
-                if visited[t] and not flags[i]:
+            for a in range(off[u], off[u + 1]):
+                t = tgt[a]
+                if visited[t] and not flags[a]:
                     raise InvariantViolation(
-                        f"arc {u}->{t} (slot {i}) still present although {t} was visited"
+                        f"arc {u}->{t} (slot {a - off[u]}) still present although {t} was visited"
                     )
 
     # -- structural audit ------------------------------------------------------
@@ -123,48 +124,54 @@ class InvariantMonitor:
     def verify_structure(self) -> None:
         """Re-walk every live chain and cross-check links, flags, and counts.
 
-        Checks, per vertex: strictly increasing chain ending at outdeg,
-        prv mirroring nxt with NIL at the head, chain membership equal to
-        the not-yet-eliminated flags, live-in counts matching the chains,
-        and no live arc targeting a visited vertex.
+        Checks, per vertex: strictly increasing chain ending at the list's
+        end sentinel, prv mirroring nxt with NIL at the head, chain
+        membership equal to the not-yet-eliminated flags, live-in counts
+        matching the chains, and no live arc targeting a visited vertex.
+        Messages name arcs by their slot in the source's list.
         """
         eg = self.eg
         self.stats["structural_scans"] += 1
         live_in = [0] * eg.n
-        trav = eg.traversal
+        trav, off, tgt, nxt, prv = eg.traversal, eg.off, eg.tgt, eg.nxt, eg.prv
+        flags = self._eliminated
+        live = bytearray(len(tgt))
+        lo = 0
+
+        def slot(a: int) -> int:
+            return NIL if a == NIL else a - lo
+
         for u in range(eg.n):
-            d = eg.outdeg[u]
-            nxt_u, prv_u = eg.nxt[u], eg.prv[u]
-            flags = self._eliminated[u]
+            lo, hi = off[u], off[u + 1]
             chain = []
-            i = eg.first[u]
+            a = eg.first[u]
             prev = NIL
-            while i < d:
-                if chain and i <= chain[-1]:
-                    raise InvariantViolation(f"vertex {u}: chain not increasing at {i}")
-                if prv_u[i] != prev:
+            while a < hi:
+                if a <= (chain[-1] if chain else lo - 1):
+                    raise InvariantViolation(f"vertex {u}: chain not increasing at {slot(a)}")
+                if prv[a] != prev:
                     raise InvariantViolation(
-                        f"vertex {u}: prv[{i}]={prv_u[i]}, expected {prev}"
+                        f"vertex {u}: prv[{slot(a)}]={slot(prv[a])}, expected {slot(prev)}"
                     )
-                chain.append(i)
-                prev = i
-                i = nxt_u[i]
-            if i != d:
-                raise InvariantViolation(f"vertex {u}: chain ends at {i}, not outdeg {d}")
-            live = bytearray(d)
-            for i in chain:
-                live[i] = 1
-            for i in range(d):
-                if live[i] and flags[i]:
+                chain.append(a)
+                live[a] = 1
+                prev = a
+                a = nxt[a]
+            if a != hi:
+                raise InvariantViolation(
+                    f"vertex {u}: chain ends at {slot(a)}, not outdeg {hi - lo}"
+                )
+            for a in range(lo, hi):
+                if live[a] and flags[a]:
                     raise InvariantViolation(
-                        f"vertex {u}: eliminated slot {i} reappeared in the live chain"
+                        f"vertex {u}: eliminated slot {a - lo} reappeared in the live chain"
                     )
-                if not live[i] and not flags[i]:
+                if not live[a] and not flags[a]:
                     raise InvariantViolation(
-                        f"vertex {u}: slot {i} vanished without being eliminated"
+                        f"vertex {u}: slot {a - lo} vanished without being eliminated"
                     )
-            for i in chain:
-                t = eg.out[u][i]
+            for a in chain:
+                t = tgt[a]
                 live_in[t] += 1
                 if trav[t] is not None:
                     raise InvariantViolation(

@@ -120,6 +120,28 @@ class TestRun:
         assert main(["run", "bfs", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_range_target_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 2\n0 1\n1 7\n")
+        assert main(["run", "dfs", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: arc 1->7 (slot 0) targets a vertex outside 0..2\n"
+        )
+
+    def test_duplicate_arc_names_the_repeating_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 3\n0 1\n# comment\n\n1 2\n0 1\n")
+        assert main(["run", "dfs", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 6: duplicate arc 0->1\n"
+
+    def test_empty_graph_is_input_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 0\n")
+        assert main(["run", "dfs", str(empty)]) == 2
+        assert capsys.readouterr().err == (
+            "error: start vertex 0: the graph has no vertices\n"
+        )
+
 
 class TestVerify:
     def test_sample_all_starts_both_kinds(self, sample_file, capsys):

@@ -138,6 +138,16 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListSyntaxError):
             parse_edge_list(text)
 
+    def test_rejected_arcs_carry_line_numbers(self):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list("3 3\n0 1\n# c\n0 2\n0 1\n")
+        assert isinstance(exc.value, DuplicateArc)
+        assert exc.value.line_no == 5
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list("3 3\n1 0\n0 1\n1 -4\n")
+        assert isinstance(exc.value, TargetOutOfRange)
+        assert (exc.value.line_no, exc.value.slot) == (4, 1)
+
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(EdgeListSyntaxError) as exc:
             parse_edge_list("# header below\n2 1\n0 1 9\n")

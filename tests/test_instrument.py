@@ -57,24 +57,26 @@ class TestViolationsCaught:
 
     def test_double_elimination(self):
         monitor, eg = attached()
-        eg.eliminate(0, 1)
-        with pytest.raises(InvariantViolation, match="twice"):
-            monitor.on_eliminate(0, 1)
+        eg.eliminate(eg.off[0] + 1)
+        with pytest.raises(InvariantViolation, match=r"source 0, slot 1\) eliminated twice"):
+            monitor.on_eliminate(eg.off[0] + 1)
 
     def test_structural_scan_sees_relinked_slot(self):
         monitor, eg = attached()
-        eg.eliminate(0, 1)
-        # resurrect the dead slot behind the monitor's back
-        eg.nxt[0][0] = 1
-        eg.prv[0][2] = 1
-        with pytest.raises(InvariantViolation):
+        a0, a1, a2, _ = range(eg.off[0], eg.off[1])
+        eg.eliminate(a1)
+        # resurrect the dead arc behind the monitor's back
+        eg.nxt[a0] = a1
+        eg.prv[a2] = a1
+        with pytest.raises(InvariantViolation, match="slot 1 reappeared"):
             monitor.verify_structure()
 
     def test_structural_scan_sees_vanished_slot(self):
         monitor, eg = attached()
         # unlink by hand without telling the monitor
-        eg.first[0] = 1
-        with pytest.raises(InvariantViolation):
+        eg.first[0] = eg.off[0] + 1
+        eg.prv[eg.off[0] + 1] = -1
+        with pytest.raises(InvariantViolation, match="slot 0 vanished"):
             monitor.verify_structure()
 
     def test_structural_scan_sees_live_arc_into_visited(self):
@@ -85,16 +87,16 @@ class TestViolationsCaught:
 
     def test_broken_chain_order(self):
         monitor, eg = attached(g=path(4))
-        eg.nxt[0][0] = 0  # self-cycle at the head slot
-        with pytest.raises(InvariantViolation):
+        eg.nxt[eg.off[0]] = eg.off[0]  # self-cycle at the head arc
+        with pytest.raises(InvariantViolation, match="not increasing at 0"):
             monitor.verify_structure()
 
     def test_finish_sees_surviving_arc_into_visited(self):
         monitor, eg = attached()
         dfs(eg, 0)
         # re-link an arc into the visited vertex 3 after the fact
-        eg.first[0] = 2
-        eg.prv[0][2] = -1
+        eg.first[0] = eg.off[0] + 2
+        eg.prv[eg.off[0] + 2] = -1
         monitor._live_in[3] += 1
         with pytest.raises(InvariantViolation):
             monitor.verify_structure()

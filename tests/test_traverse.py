@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcelim import (
     BFS,
+    COUNTERS,
     DFS,
     ElimGraph,
     ElimGraphReused,
@@ -21,6 +22,7 @@ from arcelim import (
     gnm,
     path,
     sample9,
+    seq_bfs,
     seq_dfs,
     star_out,
     sweep,
@@ -203,6 +205,35 @@ class TestPInvariance:
         for kind in (DFS, BFS):
             res, trav, _ = run(kind, g, s, p=rng.choice([1, 2, 4]))
             assert trav.sync_steps == res.visited_count
+
+
+class TestDifferential:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_engine_option_matches_oracle(self, data):
+        """Graph, start, kind, p, backend, monitor level and write
+        validation drawn together; a DisjointWriteViolation or
+        InvariantViolation would propagate and fail the example."""
+        n = data.draw(st.integers(1, 24), label="n")
+        m = data.draw(st.integers(0, min(4 * n, n * (n - 1))), label="m")
+        g = gnm(n, m, data.draw(st.integers(0, 10**6), label="seed"))
+        s = data.draw(st.integers(0, n - 1), label="start")
+        kind = data.draw(st.sampled_from([DFS, BFS]), label="kind")
+        p = data.draw(st.integers(1, 5), label="p")
+        backend = data.draw(st.sampled_from([SIMULATED, THREADED]), label="backend")
+        levels = [None, COUNTERS] + ([PARANOID] if n <= 16 else [])
+        level = data.draw(st.sampled_from(levels), label="monitor")
+        validate = data.draw(st.booleans(), label="validate_writes")
+        monitor = None if level is None else InvariantMonitor(level)
+        with ParEngine(p, backend=backend, validate_writes=validate) as engine:
+            eg = ElimGraph.build(g, engine, monitor=monitor)
+            got = (dfs if kind == DFS else bfs)(eg, s, 0, engine)
+        want = (seq_dfs if kind == DFS else seq_bfs)(g, s, 0)
+        report = compare_results(got, want)
+        assert report.ok, report.mismatches
+        assert got == want
+        if monitor is not None:
+            assert monitor.stats["visit_checks"] == got.visited_count
 
 
 class TestSingleElimination:
