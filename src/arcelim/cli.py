@@ -17,7 +17,7 @@ from typing import Optional, Sequence, TextIO
 from . import generators
 from .elim import ElimGraph
 from .engine import SIMULATED, THREADED, CostReport, ParEngine
-from .errors import GraphError
+from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .traverse import BFS, DFS, KINDS, bfs, dfs, verify_against_oracle
 
@@ -169,9 +169,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    if g.num_vertices == 0:
-        print("empty graph: nothing to verify", file=sys.stderr)
-        return 0
+    if g.num_vertices == 0:  # fail as run does: there is no start vertex
+        raise InvalidStart(0, 0)
     starts = (
         range(g.num_vertices)
         if args.starts == "all"

@@ -87,7 +87,7 @@ class ElimGraph:
         ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps; the arrays are
         sized by an untimed pre-pass, so the timed phase never reallocates.
         """
-        from .engine import ParEngine
+        from .engine import THREADED, ParEngine
 
         if engine is None:
             engine = ParEngine()
@@ -125,7 +125,7 @@ class ElimGraph:
             engine.par_for(off[u + 1] - lo, arc_body)
 
         if monitor is not None:
-            monitor.attach(eg)
+            monitor.attach(eg, threaded=engine.backend == THREADED)
         return eg
 
     # -- elimination ---------------------------------------------------------

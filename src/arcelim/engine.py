@@ -9,9 +9,12 @@ Two backends share identical semantics and identical cost accounting:
 
 * ``simulated`` runs bodies inline, in index order.  Deterministic and
   machine-independent; the default for benchmarks.
-* ``threaded`` runs bodies on a fixed pool of ``processors`` worker threads,
-  one contiguous chunk of ceil(k/p) indices per worker, with a real barrier
-  per block.
+* ``threaded`` runs a block as a fork-join over p threads: the driver
+  thread is processor 0 and a fixed pool of p - 1 worker threads holds the
+  others.  Chunk w is the contiguous range of ceil(k/p) indices starting at
+  w * ceil(k/p).  The driver hands chunks 1..p-1 over, runs chunk 0 itself
+  and joins every worker before the block returns, so each block is one
+  real synchronization episode.  With p = 1 no thread is started.
 
 Cost model, charged identically by both backends:
 
@@ -24,7 +27,8 @@ Cost model, charged identically by both backends:
 
 An optional validation mode records every location mutated within a block
 (bodies report them via ``log_write``) and fails the block on any duplicate,
-enforcing the exclusive-write contract.
+enforcing the exclusive-write contract.  Only the threaded backend locks
+the log.
 """
 from __future__ import annotations
 
@@ -89,6 +93,9 @@ class ParEngine:
         self._pool: _WorkerPool | None = None
         self._write_log: list[tuple] = []
         self._log_lock = threading.Lock()
+        if backend == SIMULATED:
+            # every body runs on the calling thread: append without the lock
+            self.log_write = self._write_log.append
 
     # -- execution ----------------------------------------------------------
 
@@ -109,9 +116,10 @@ class ParEngine:
             for i in range(count):
                 body(i)
         else:
-            if self._pool is None:
-                self._pool = _WorkerPool(p)
-            self._pool.run_block(body, count)
+            pool = self._pool
+            if pool is None or pool.abandoned:
+                pool = self._pool = _WorkerPool(p)
+            pool.run_block(body, count)
         if self.validate_writes:
             self._check_block_writes()
 
@@ -131,12 +139,14 @@ class ParEngine:
             self._write_log.append(cell)
 
     def _check_block_writes(self) -> None:
+        log = self._write_log
+        if len(set(log)) == len(log):
+            return
         seen = set()
-        for cell in self._write_log:
+        for cell in log:
             if cell in seen:
                 raise DisjointWriteViolation(cell)
             seen.add(cell)
-        self._write_log.clear()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -156,54 +166,85 @@ class ParEngine:
 
 
 class _WorkerPool:
-    """Fixed pool of worker threads executing one chunked block at a time.
+    """Fork-join pool: the driver thread is processor 0, and p - 1 worker
+    threads run chunks 1..p-1 of each block.
 
-    Drivers and workers meet at two reusable barriers per block, so the
-    engine's sync_steps counter equals the number of real barrier episodes.
+    Worker w owns two plain locks used as binary semaphores, ``go`` and
+    ``done``, both held while it is idle.  A block publishes its task,
+    releases every ``go``, runs chunk 0 on the driver and then acquires
+    every ``done``: one join per block, so the engine's sync_steps counter
+    equals the number of real synchronization episodes.  Errors raised by
+    bodies are kept per chunk and the first in chunk order is re-raised
+    after the join.  If the hand-over or the join itself is interrupted,
+    the locks are out of step: the pool is marked ``abandoned`` and its
+    workers exit after their current chunk.
     """
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._begin = threading.Barrier(workers + 1)
-        self._end = threading.Barrier(workers + 1)
+    def __init__(self, processors: int):
+        self.processors = processors
+        self.abandoned = False
         self._task: tuple[Callable[[int], None], int, int] | None = None
-        self._errors: list[BaseException | None] = [None] * workers
+        self._errors: list[BaseException | None] = [None] * processors
+        self._go = [threading.Lock() for _ in range(processors - 1)]
+        self._done = [threading.Lock() for _ in range(processors - 1)]
+        for lock in self._go + self._done:
+            lock.acquire()
         self._threads = [
-            threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
-            for w in range(workers)
+            threading.Thread(target=self._worker_loop, args=(w, go, done), daemon=True)
+            for w, go, done in zip(range(1, processors), self._go, self._done)
         ]
         for t in self._threads:
             t.start()
 
-    def _worker_loop(self, w: int) -> None:
+    def _worker_loop(self, w: int, go: threading.Lock, done: threading.Lock) -> None:
         while True:
-            self._begin.wait()
+            go.acquire()
             task = self._task
             if task is None:
                 return
             body, count, chunk = task
-            lo = w * chunk
-            hi = min(count, lo + chunk)
             try:
-                for i in range(lo, hi):
+                for i in range(w * chunk, min(count, w * chunk + chunk)):
                     body(i)
-            except BaseException as exc:  # propagated by the driver
+            except BaseException as exc:  # re-raised by the driver after the join
                 self._errors[w] = exc
-            self._end.wait()
+            done.release()
 
     def run_block(self, body: Callable[[int], None], count: int) -> None:
-        chunk = -(-count // self.workers) if count else 0
+        chunk = -(-count // self.processors)
+        errors = self._errors
         self._task = (body, count, chunk)
-        self._begin.wait()
-        self._end.wait()
+        try:
+            for go in self._go:
+                go.release()
+            try:
+                for i in range(min(count, chunk)):
+                    body(i)
+            except BaseException as exc:
+                errors[0] = exc
+            for done in self._done:
+                done.acquire()
+        except BaseException:
+            self._stop()
+            self.abandoned = True
+            raise
         self._task = None
-        first = next((exc for exc in self._errors if exc is not None), None)
-        if first is not None:
-            self._errors = [None] * self.workers
+        if errors.count(None) != len(errors):
+            first = next(exc for exc in errors if exc is not None)
+            errors[:] = [None] * len(errors)
             raise first
 
-    def close(self) -> None:
+    def _stop(self) -> None:
+        """Let every worker exit once it has finished its current chunk."""
         self._task = None
-        self._begin.wait()
-        for t in self._threads:
-            t.join()
+        for go in self._go:
+            try:
+                go.release()
+            except RuntimeError:  # still released: the worker has not woken yet
+                pass
+
+    def close(self) -> None:
+        if not self.abandoned:
+            self._stop()
+            for t in self._threads:
+                t.join()

@@ -48,27 +48,35 @@ class InvariantMonitor:
             "structural_scans": 0,
             "level_checks": 0,
         }
-        self._lock = threading.Lock()
+        self._lock: threading.Lock | None = None
 
-    def attach(self, eg: ElimGraph) -> None:
+    def attach(self, eg: ElimGraph, threaded: bool = True) -> None:
+        """Watch ``eg``; ``threaded`` says whether eliminations may run on
+        several threads at once, which makes on_eliminate take a lock."""
         self.eg = eg
         eg.monitor = self
+        self._lock = threading.Lock() if threaded else None
         self._live_in = list(eg.indeg)
         self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------
 
     def on_eliminate(self, arc: int) -> None:
-        # threaded backends eliminate from worker threads
-        with self._lock:
-            if self._eliminated[arc]:
-                u = self.eg.src[arc]
-                raise InvariantViolation(
-                    f"arc (source {u}, slot {arc - self.eg.off[u]}) eliminated twice"
-                )
-            self._eliminated[arc] = 1
-            self._live_in[self.eg.tgt[arc]] -= 1
-            self.stats["eliminations"] += 1
+        if self._lock is None:
+            self._record_elimination(arc)
+        else:
+            with self._lock:
+                self._record_elimination(arc)
+
+    def _record_elimination(self, arc: int) -> None:
+        if self._eliminated[arc]:
+            u = self.eg.src[arc]
+            raise InvariantViolation(
+                f"arc (source {u}, slot {arc - self.eg.off[u]}) eliminated twice"
+            )
+        self._eliminated[arc] = 1
+        self._live_in[self.eg.tgt[arc]] -= 1
+        self.stats["eliminations"] += 1
 
     def after_visit(self, v: int) -> None:
         self.stats["visit_checks"] += 1

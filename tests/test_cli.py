@@ -144,6 +144,14 @@ class TestRun:
 
 
 class TestVerify:
+    def test_empty_graph_is_input_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 0\n")
+        assert main(["verify", str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: start vertex 0: the graph has no vertices\n"
+        assert captured.out == ""
+
     def test_sample_all_starts_both_kinds(self, sample_file, capsys):
         assert main(["verify", sample_file]) == 0
         assert "OK: 18 runs" in capsys.readouterr().out

@@ -1,4 +1,8 @@
+import random
+import signal
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,10 +135,139 @@ class TestWriteValidation:
             with pytest.raises(DisjointWriteViolation):
                 eng.par_for(4, lambda i: eng.log_write(("cell",)))
 
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_violation_names_the_duplicated_cell(self, backend):
+        with ParEngine(3, backend=backend, validate_writes=True) as eng:
+            with pytest.raises(DisjointWriteViolation) as info:
+                eng.par_for(9, lambda i: eng.log_write(("cell", i % 8)))
+        assert info.value.cell == ("cell", 0)
+
     def test_log_cleared_between_blocks(self):
         with ParEngine(2, validate_writes=True) as eng:
             eng.par_for(1, lambda i: eng.log_write(("cell",)))
             eng.par_for(1, lambda i: eng.log_write(("cell",)))
+
+
+def _raiser(index, exc):
+    def body(i):
+        if i == index:
+            raise exc
+
+    return body
+
+
+class TestPoolLifecycle:
+    """The threaded pool survives failing blocks and shuts down cleanly."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("where", ["driver chunk", "worker chunk"])
+    def test_failed_block_then_correct_block(self, p, where):
+        count = 10
+        index = 0 if where == "driver chunk" else count - 1
+        with ParEngine(p, backend=THREADED) as eng:
+            with pytest.raises(RuntimeError, match="body failed"):
+                eng.par_for(count, _raiser(index, RuntimeError("body failed")))
+            hits = [0] * count
+            eng.par_for(count, lambda i: hits.__setitem__(i, hits[i] + 1))
+        assert hits == [1] * count
+
+    def test_first_error_in_chunk_order_after_every_worker(self):
+        count, chunk = 9, 3
+        hits = [0] * count
+
+        def body(i):
+            hits[i] += 1
+            if i in (0, count - 1):
+                raise RuntimeError(f"index {i}")
+
+        with ParEngine(3, backend=THREADED) as eng:
+            with pytest.raises(RuntimeError, match="index 0"):
+                eng.par_for(count, body)
+        # the driver's chunk stopped at index 0; every worker's chunk ran
+        assert hits == [1, 0, 0] + [1] * (count - chunk)
+
+    @pytest.mark.parametrize("index", [0, 7])
+    def test_keyboard_interrupt_propagates_and_engine_recovers(self, index):
+        with ParEngine(2, backend=THREADED) as eng:
+            with pytest.raises(KeyboardInterrupt):
+                eng.par_for(8, _raiser(index, KeyboardInterrupt()))
+            hits = [0] * 8
+            eng.par_for(8, lambda i: hits.__setitem__(i, hits[i] + 1))
+        assert hits == [1] * 8
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupted_join_discards_the_pool(self):
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("signals reach only the main thread")
+        before = threading.active_count()
+        driver = threading.get_ident()
+        resume = threading.Event()
+
+        def body(i):
+            if i == 1:  # the worker's chunk: interrupt the driver's join
+                time.sleep(0.05)  # let the driver block in the join first
+                signal.pthread_kill(driver, signal.SIGINT)
+                resume.wait(5)
+
+        eng = ParEngine(2, backend=THREADED)
+        with pytest.raises(KeyboardInterrupt):
+            eng.par_for(2, body)
+            resume.wait(5)  # reached only if the signal came late
+        stale = eng._pool._threads
+        resume.set()
+        hits = [0] * 6
+        eng.par_for(6, lambda i: hits.__setitem__(i, hits[i] + 1))
+        assert hits == [1] * 6
+        eng.close()
+        for t in stale:
+            t.join(5)
+            assert not t.is_alive()
+        assert threading.active_count() == before
+
+    def test_close_twice_and_reuse_after_close(self):
+        before = threading.active_count()
+        eng = ParEngine(3, backend=THREADED)
+        eng.par_for(5, lambda i: None)
+        assert threading.active_count() == before + 2
+        eng.close()
+        eng.close()
+        assert threading.active_count() == before
+        hits = [0] * 5
+        eng.par_for(5, lambda i: hits.__setitem__(i, hits[i] + 1))
+        assert hits == [1] * 5
+        eng.close()
+        assert threading.active_count() == before
+        assert eng.report().sync_steps == 2
+
+    def test_p1_threaded_starts_no_thread(self):
+        before = threading.active_count()
+        seen = set()
+        with ParEngine(1, backend=THREADED) as eng:
+            eng.par_for(6, lambda i: seen.add(threading.get_ident()))
+            assert threading.active_count() == before
+        assert seen == {threading.get_ident()}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_stress_each_index_once_and_counters_match(self, p):
+        rng = random.Random(p)
+        sizes = [rng.randint(0, 2 * p) for _ in range(2000)]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParEngine(p, backend=THREADED) as eng:
+                for k in sizes:
+                    hits = [0] * k
+                    eng.par_for(k, lambda i: hits.__setitem__(i, hits[i] + 1))
+                    assert hits == [1] * k
+                assert threading.active_count() <= before + p - 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        sim = ParEngine(p)
+        for k in sizes:
+            sim.par_for(k, lambda i: None)
+        assert eng.report() == sim.report()
 
 
 class TestCostReport:
