@@ -54,7 +54,7 @@ class BenchRecord:
     work: int
     seq_steps: int
     wall_nanos: Optional[int]  # threaded mode only
-    speedup_model: float  # time_steps(p=1) / time_steps(p)
+    speedup_model: float  # time_steps(p=1) / time_steps(p); the former is work + seq_steps
 
     def as_row(self) -> list[str]:
         row = []
@@ -221,12 +221,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for token in sizes:
         g = _bench_graph(args.family, token, args.seed)
         for kind in kinds:
-            runs: dict[int, tuple] = {}
-            for p in {1, *procs}:
-                runs[p] = _run_traversal(g, kind, args.start, 0, p, args.mode)
-            base_time = runs[1][2].time_steps
             for p in procs:
-                _, build, total, wall = runs[p]
+                _, build, total, wall = _run_traversal(g, kind, args.start, 0, p, args.mode)
                 records.append(
                     BenchRecord(
                         family=args.family,
@@ -241,7 +237,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         work=total.work,
                         seq_steps=total.seq_steps,
                         wall_nanos=wall if args.mode == THREADED else None,
-                        speedup_model=base_time / total.time_steps,
+                        speedup_model=(total.work + total.seq_steps) / total.time_steps,
                     )
                 )
     out = _out_stream(args.out)

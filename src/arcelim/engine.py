@@ -65,9 +65,6 @@ class CostReport:
         """Flat key=value serialization, one counter per line."""
         return "\n".join(f"{name}={getattr(self, name)}" for name in CSV_FIELDS)
 
-    def as_csv_row(self) -> str:
-        return ",".join(str(getattr(self, name)) for name in CSV_FIELDS)
-
 
 class ParEngine:
     """Parallel-for executor with PRAM-style cost accounting.

@@ -12,14 +12,16 @@ count, and the result is identical for every processor count and backend.
 Sequential driver steps are metered on the engine one unit per constant-
 time action: visiting (numbering plus parent/distance bookkeeping),
 checking a vertex for a live arc, and for breadth-first runs enqueue,
-dequeue, and per-level queue swap.  A run visiting k vertices charges
-fewer than 4k units (depth-first) or 7k (breadth-first).
+dequeue, and per-level queue swap.  A search visiting k vertices over L
+breadth-first levels (max distance + 1) charges exactly 3k - 1 units
+(depth-first) or 5k - 1 + L (breadth-first); a sweep of n vertices with R
+roots charges 3n - R, or 5n - R plus the sum of L over the roots' trees.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .elim import ElimGraph
 from .engine import SIMULATED, ParEngine
@@ -35,30 +37,23 @@ KINDS = (DFS, BFS)
 Trace = Callable[[str], None]
 
 
-def _claim(eg: ElimGraph, s: int) -> None:
-    if not 0 <= s < eg.n:
-        raise InvalidStart(s, eg.n)
-    if eg._traversed:
-        raise ElimGraphReused(
-            "this search structure already ran a traversal; build a fresh one"
-        )
-    eg._traversed = True
-
-
-def _result(eg: ElimGraph, next_number: int) -> TraversalResult:
-    return TraversalResult.collect(eg.traversal, eg.parent, eg.distance, next_number)
+def _visit(eg: ElimGraph, v: int, parent: Optional[int], number: int, level: int,
+           engine: ParEngine, trace: Optional[Trace]) -> int:
+    """One visit, the unit step of both drivers: eliminate v's incoming arcs
+    in one block, number v and record its parent.  Returns the next number."""
+    eg.eliminate_incoming(v, engine)
+    eg.traversal[v] = number
+    eg.parent[v] = parent
+    engine.seq_tick()
+    if eg.monitor is not None:
+        eg.monitor.after_visit(v)
+    if trace is not None:
+        trace(f"visit {v} number={number} level={level}")
+    return number + 1
 
 
 def _dfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
-    monitor = eg.monitor
-    eg.eliminate_incoming(s, engine)
-    eg.traversal[s] = number
-    number += 1
-    engine.seq_tick()
-    if monitor is not None:
-        monitor.after_visit(s)
-    if trace is not None:
-        trace(f"visit {s} number={number - 1} level=0")
+    number = _visit(eg, s, None, number, 0, engine, trace)
     stack = [s]
     while stack:
         v = stack[-1]
@@ -68,31 +63,16 @@ def _dfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[
             stack.pop()
             continue
         # w is necessarily unvisited: a visited vertex has no live incoming arc
-        eg.parent[w] = v
-        eg.eliminate_incoming(w, engine)
-        eg.traversal[w] = number
-        number += 1
-        engine.seq_tick()
-        if monitor is not None:
-            monitor.after_visit(w)
-        if trace is not None:
-            trace(f"visit {w} number={number - 1} level={len(stack)}")
+        number = _visit(eg, w, v, number, len(stack), engine, trace)
         stack.append(w)
     return number
 
 
 def _bfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
     monitor = eg.monitor
-    eg.eliminate_incoming(s, engine)
     level = 0
-    eg.traversal[s] = number
-    number += 1
     eg.distance[s] = 0
-    engine.seq_tick()
-    if monitor is not None:
-        monitor.after_visit(s)
-    if trace is not None:
-        trace(f"visit {s} number={number - 1} level=0")
+    number = _visit(eg, s, None, number, 0, engine, trace)
     q: deque[int] = deque([s])
     engine.seq_tick()  # enqueue s
     q_next: deque[int] = deque()
@@ -109,22 +89,37 @@ def _bfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[
                 v = eg.first_live_target(u)
                 if v is None:
                     break
-                eg.eliminate_incoming(v, engine)
-                eg.traversal[v] = number
-                number += 1
                 eg.distance[v] = level
-                eg.parent[v] = u
-                engine.seq_tick()
-                if monitor is not None:
-                    monitor.after_visit(v)
-                if trace is not None:
-                    trace(f"visit {v} number={number - 1} level={level}")
+                number = _visit(eg, v, u, number, level, engine, trace)
                 q_next.append(v)
                 engine.seq_tick()  # enqueue
         if monitor is not None:
             monitor.after_level(level, q_next)
         q, q_next = q_next, q
     return number
+
+
+Driver = Callable[[ElimGraph, int, int, ParEngine, Optional[Trace]], int]
+
+
+def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int,
+            engine: Optional[ParEngine], trace: Optional[Trace]) -> TraversalResult:
+    """Run ``driver`` from every start that is still unvisited, numbering
+    continuously from a, then close the monitor and collect the result."""
+    if eg._traversed:
+        raise ElimGraphReused(
+            "this search structure already ran a traversal; build a fresh one"
+        )
+    eg._traversed = True
+    if engine is None:
+        engine = ParEngine()
+    number = a
+    for s in starts:
+        if eg.traversal[s] is None:
+            number = driver(eg, s, number, engine, trace)
+    if eg.monitor is not None:
+        eg.monitor.finish()
+    return TraversalResult.collect(eg.traversal, eg.parent, eg.distance, number)
 
 
 def dfs(
@@ -141,13 +136,9 @@ def dfs(
     the recursive procedure would, because visiting the child eliminated
     the arc that was scanned.
     """
-    _claim(eg, s)
-    if engine is None:
-        engine = ParEngine()
-    number = _dfs(eg, s, a, engine, trace)
-    if eg.monitor is not None:
-        eg.monitor.finish()
-    return _result(eg, number)
+    if not 0 <= s < eg.n:
+        raise InvalidStart(s, eg.n)
+    return _search(eg, (s,), _dfs, a, engine, trace)
 
 
 def bfs(
@@ -164,13 +155,9 @@ def bfs(
     vertex's incoming arcs up front guarantees no vertex enters a queue
     twice, and no live arc ever connects two members of the next queue.
     """
-    _claim(eg, s)
-    if engine is None:
-        engine = ParEngine()
-    number = _bfs(eg, s, a, engine, trace)
-    if eg.monitor is not None:
-        eg.monitor.finish()
-    return _result(eg, number)
+    if not 0 <= s < eg.n:
+        raise InvalidStart(s, eg.n)
+    return _search(eg, (s,), _bfs, a, engine, trace)
 
 
 def sweep(
@@ -185,21 +172,7 @@ def sweep(
     one tree per restart."""
     if kind not in KINDS:
         raise ValueError(f"unknown traversal kind {kind!r}")
-    if eg._traversed:
-        raise ElimGraphReused(
-            "this search structure already ran a traversal; build a fresh one"
-        )
-    eg._traversed = True
-    if engine is None:
-        engine = ParEngine()
-    run = _dfs if kind == DFS else _bfs
-    number = a
-    for r in range(eg.n):
-        if eg.traversal[r] is None:
-            number = run(eg, r, number, engine, trace)
-    if eg.monitor is not None:
-        eg.monitor.finish()
-    return _result(eg, number)
+    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a, engine, trace)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from arcelim import MatchReport
+from arcelim import MatchReport, cli
 from arcelim.cli import CSV_COLUMNS, main
 
 SAMPLE_DFS_DUMP = (
@@ -237,6 +237,19 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[-1]) > 1.0
+
+    def test_one_run_per_size_kind_and_p(self, capsys, monkeypatch):
+        """The model speedup comes from each row's own run: no extra p=1 run."""
+        calls = []
+        real = cli._run_traversal
+
+        def counted(g, kind, *rest):
+            calls.append((g.num_vertices, kind))
+            return real(g, kind, *rest)
+
+        monkeypatch.setattr(cli, "_run_traversal", counted)
+        assert main(["bench", "--family", "path", "--sizes", "8,12", "--procs", "4"]) == 0
+        assert sorted(calls) == [(8, "bfs"), (8, "dfs"), (12, "bfs"), (12, "dfs")]
 
     def test_threaded_mode_reports_wall_nanos(self, capsys):
         assert main(

@@ -1,0 +1,27 @@
+"""The core package imports nothing outside the standard library."""
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arcelim"
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_core_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    imported = {
+        (path.name, name.partition(".")[0])
+        for path in sources
+        for name in absolute_imports(path)
+    }
+    assert imported, "no absolute import found; the scan is not reading the sources"
+    outside = sorted(pair for pair in imported if pair[1] not in sys.stdlib_module_names)
+    assert outside == []

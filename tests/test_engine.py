@@ -279,6 +279,3 @@ class TestCostReport:
     def test_kv_block_format(self):
         text = CostReport(5, 2, 9, 1).as_kv_block()
         assert text == "time_steps=5\nsync_steps=2\nwork=9\nseq_steps=1"
-
-    def test_csv_row(self):
-        assert CostReport(5, 2, 9, 1).as_csv_row() == "5,2,9,1"

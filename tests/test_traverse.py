@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from arcelim import (
     ParEngine,
     SIMULATED,
     THREADED,
+    TraversalResult,
     bfs,
     compare_results,
     dfs,
@@ -42,6 +44,51 @@ def run(kind, g, s=0, a=0, p=1, backend=SIMULATED, monitor=None):
         result = driver(eg, s, a, engine)
         total = engine.report()
     return result, total - build, eg
+
+
+def run_sweep(kind, g):
+    with ParEngine() as engine:
+        eg = ElimGraph.build(g, engine)
+        build = engine.report()
+        result = sweep(eg, kind, 0, engine)
+        total = engine.report()
+    return result, total - build
+
+
+def textbook_sweep(g, kind):
+    """Restart a textbook search on every unvisited vertex in id order,
+    scanning ``g.out_lists`` left to right: the reference for sweep."""
+    n = g.num_vertices
+    traversal, parent, distance = [None] * n, [None] * n, [None] * n
+    number = 0
+    for r in range(n):
+        if traversal[r] is not None:
+            continue
+        traversal[r] = number
+        number += 1
+        if kind == BFS:
+            distance[r] = 0
+            queue = deque([r])
+            while queue:
+                u = queue.popleft()
+                for v in g.out_lists[u]:
+                    if traversal[v] is None:
+                        traversal[v], parent[v], distance[v] = number, u, distance[u] + 1
+                        number += 1
+                        queue.append(v)
+        else:
+            stack = [(r, iter(g.out_lists[r]))]
+            while stack:
+                u, targets = stack[-1]
+                for v in targets:
+                    if traversal[v] is None:
+                        traversal[v], parent[v] = number, u
+                        number += 1
+                        stack.append((v, iter(g.out_lists[v])))
+                        break
+                else:
+                    stack.pop()
+    return TraversalResult.collect(traversal, parent, distance, number)
 
 
 def tree_edges(res):
@@ -177,6 +224,25 @@ class TestReuseGuard:
         with pytest.raises(ElimGraphReused):
             sweep(eg, DFS)
 
+    def test_invalid_start_reported_before_reuse(self):
+        eg = ElimGraph.build(sample9())
+        dfs(eg, 0)
+        with pytest.raises(InvalidStart):
+            dfs(eg, 9)
+        with pytest.raises(InvalidStart):
+            bfs(eg, -1)
+
+    @pytest.mark.parametrize("kind", [DFS, BFS])
+    def test_rejected_call_leaves_structure_usable(self, kind):
+        g = sample9()
+        eg = ElimGraph.build(g)
+        driver = dfs if kind == DFS else bfs
+        with pytest.raises(InvalidStart):
+            driver(eg, 9)
+        with pytest.raises(ValueError):
+            sweep(eg, "best-first")
+        assert driver(eg, 0) == (seq_dfs if kind == DFS else seq_bfs)(g, 0)
+
 
 class TestPInvariance:
     @given(st.integers(0, 10_000))
@@ -211,14 +277,15 @@ class TestDifferential:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_every_engine_option_matches_oracle(self, data):
-        """Graph, start, kind, p, backend, monitor level and write
-        validation drawn together; a DisjointWriteViolation or
+        """Graph, start, kind, single search or sweep, p, backend, monitor
+        level and write validation drawn together; a DisjointWriteViolation or
         InvariantViolation would propagate and fail the example."""
         n = data.draw(st.integers(1, 24), label="n")
         m = data.draw(st.integers(0, min(4 * n, n * (n - 1))), label="m")
         g = gnm(n, m, data.draw(st.integers(0, 10**6), label="seed"))
         s = data.draw(st.integers(0, n - 1), label="start")
         kind = data.draw(st.sampled_from([DFS, BFS]), label="kind")
+        whole = data.draw(st.booleans(), label="sweep")
         p = data.draw(st.integers(1, 5), label="p")
         backend = data.draw(st.sampled_from([SIMULATED, THREADED]), label="backend")
         levels = [None, COUNTERS] + ([PARANOID] if n <= 16 else [])
@@ -227,8 +294,11 @@ class TestDifferential:
         monitor = None if level is None else InvariantMonitor(level)
         with ParEngine(p, backend=backend, validate_writes=validate) as engine:
             eg = ElimGraph.build(g, engine, monitor=monitor)
-            got = (dfs if kind == DFS else bfs)(eg, s, 0, engine)
-        want = (seq_dfs if kind == DFS else seq_bfs)(g, s, 0)
+            if whole:
+                got = sweep(eg, kind, 0, engine)
+            else:
+                got = (dfs if kind == DFS else bfs)(eg, s, 0, engine)
+        want = textbook_sweep(g, kind) if whole else (seq_dfs if kind == DFS else seq_bfs)(g, s, 0)
         report = compare_results(got, want)
         assert report.ok, report.mismatches
         assert got == want
@@ -323,16 +393,49 @@ class TestSweep:
         assert monitor.stats["eliminations"] == 20
 
 
+def visit_lines(*visits):
+    return [f"visit {v} number={t} level={level}" for t, (v, level) in enumerate(visits)]
+
+
+# two sweep roots, 0 and 4; the arc 4->1 is already eliminated at the restart
+RESTART_GRAPH = [[1, 2], [3], [], [], [5, 1], []]
+
+
 class TestTrace:
     def test_trace_lines_format_and_order(self):
         lines = []
         eg = ElimGraph.build(sample9())
         dfs(eg, 0, trace=lines.append)
-        assert len(lines) == 9
-        assert lines[0] == "visit 0 number=0 level=0"
-        assert lines[1] == "visit 1 number=1 level=1"
-        order = [int(line.split()[1]) for line in lines]
-        assert order == [0, 1, 5, 7, 8, 4, 3, 6, 2]
+        assert lines == visit_lines(
+            (0, 0), (1, 1), (5, 2), (7, 3), (8, 4), (4, 5), (3, 6), (6, 7), (2, 3)
+        )
+
+    @pytest.mark.parametrize(
+        "search, adjacency, want",
+        [
+            (
+                lambda eg, trace: bfs(eg, 0, trace=trace),
+                None,
+                visit_lines((0, 0), (1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 4)),
+            ),
+            (
+                lambda eg, trace: sweep(eg, DFS, trace=trace),
+                RESTART_GRAPH,
+                visit_lines((0, 0), (1, 1), (3, 2), (2, 1), (4, 0), (5, 1)),
+            ),
+            (
+                lambda eg, trace: sweep(eg, BFS, trace=trace),
+                RESTART_GRAPH,
+                visit_lines((0, 0), (1, 1), (2, 1), (3, 2), (4, 0), (5, 1)),
+            ),
+        ],
+        ids=["bfs", "sweep-dfs", "sweep-bfs"],
+    )
+    def test_golden_trace(self, search, adjacency, want):
+        g = sample9() if adjacency is None else Graph.from_adjacency(adjacency)
+        lines = []
+        search(ElimGraph.build(g), lines.append)
+        assert lines == want
 
     def test_bfs_trace_levels_match_distances(self):
         lines = []
@@ -343,3 +446,46 @@ class TestTrace:
             v = int(line.split()[1])
             assert int(parts["level"]) == res.distance[v]
             assert int(parts["number"]) == res.traversal[v]
+
+
+def levels(res, vertices):
+    """Number of BFS levels spanned by ``vertices``: max distance + 1."""
+    return max(res.distance[v] for v in vertices) + 1
+
+
+class TestSeqSteps:
+    """Exact sequential driver charge, with k visits, L BFS levels and R
+    sweep roots: dfs 3k - 1, bfs 5k - 1 + L, DFS sweep 3n - R, BFS sweep
+    5n - R + sum of L over the roots' trees."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_single_search(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 14)
+        g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
+        s = rng.randrange(n)
+        res, trav, _ = run(DFS, g, s)
+        assert trav.seq_steps == 3 * res.visited_count - 1
+        res, trav, _ = run(BFS, g, s)
+        visited = [v for v, t in enumerate(res.traversal) if t is not None]
+        assert trav.seq_steps == 5 * res.visited_count - 1 + levels(res, visited)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 14)
+        g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
+        res, trav = run_sweep(DFS, g)
+        roots = [v for v in range(n) if res.parent[v] is None]
+        assert trav.seq_steps == 3 * n - len(roots)
+        res, trav = run_sweep(BFS, g)
+        trees = {}
+        for v in range(n):
+            r = v
+            while res.parent[r] is not None:
+                r = res.parent[r]
+            trees.setdefault(r, []).append(v)
+        bfs_levels = sum(levels(res, members) for members in trees.values())
+        assert trav.seq_steps == 5 * n - len(trees) + bfs_levels
