@@ -96,29 +96,31 @@ class ElimGraph:
         indeg, first, nxt, prv = eg.indeg, eg.first, eg.nxt, eg.prv
         log = engine.log_write if engine.validate_writes else None
 
-        def init_body(u: int) -> None:
-            indeg[u] = 0
-            first[u] = off[u]
-            if log is not None:
-                log(("indeg", u))
-                log(("first", u))
+        def init_body(r: range) -> None:
+            for u in r:
+                indeg[u] = 0
+                first[u] = off[u]
+                if log is not None:
+                    log(("indeg", u))
+                    log(("first", u))
 
         engine.par_for(eg.n, init_body)
 
         u = lo = 0  # the block's source vertex and its first arc id
 
-        def arc_body(i: int) -> None:
-            a = lo + i
-            v = tgt[a]
-            d = indeg[v]
-            in_arc[in_off[v] + d] = a
-            indeg[v] = d + 1
-            src[a] = u
-            nxt[a] = a + 1
-            prv[a] = a - 1 if i else NIL
-            if log is not None:
-                log(("in", v))  # in_arc slot and indeg of v
-                log(("arc", a))  # src, nxt and prv of a
+        def arc_body(r: range) -> None:
+            for i in r:
+                a = lo + i
+                v = tgt[a]
+                d = indeg[v]
+                in_arc[in_off[v] + d] = a
+                indeg[v] = d + 1
+                src[a] = u
+                nxt[a] = a + 1
+                prv[a] = a - 1 if i else NIL
+                if log is not None:
+                    log(("in", v))  # in_arc slot and indeg of v
+                    log(("arc", a))  # src, nxt and prv of a
 
         for u in range(eg.n):
             lo = off[u]
@@ -131,9 +133,10 @@ class ElimGraph:
     # -- elimination ---------------------------------------------------------
 
     def _unlinker(self, ids: Sequence[int], lo: int,
-                  log: Optional[Callable[[tuple], None]]) -> Callable[[int], None]:
-        """Block body that unlinks arc ``ids[lo + i]`` from its source's
-        live list in O(1), logging each write when ``log`` is given.
+                  log: Optional[Callable[[tuple], None]]) -> Callable[[range], None]:
+        """Block body that unlinks, for each i of its chunk, arc
+        ``ids[lo + i]`` from its source's live list in O(1), logging each
+        write when ``log`` is given.
 
         Raises AlreadyEliminated if the arc is not live: a live arc is
         pointed at by its predecessor (or by first), and unlink removes that
@@ -142,35 +145,36 @@ class ElimGraph:
         src, off, first, nxt, prv = self.src, self.off, self.first, self.nxt, self.prv
         monitor = self.monitor
 
-        def body(i: int) -> None:
-            a = ids[lo + i]
-            u = src[a]
-            p = prv[a]
-            x = nxt[a]
-            if p == NIL:
-                if first[u] != a:
-                    raise AlreadyEliminated(u, a - off[u])
-                first[u] = x
-                if log is not None:
-                    log(("first", u))
-            else:
-                if nxt[p] != a:
-                    raise AlreadyEliminated(u, a - off[u])
-                nxt[p] = x
-                if log is not None:
-                    log(("nxt", p))
-            if x < off[u + 1]:
-                prv[x] = p
-                if log is not None:
-                    log(("prv", x))
-            if monitor is not None:
-                monitor.on_eliminate(a)
+        def body(r: range) -> None:
+            for i in r:
+                a = ids[lo + i]
+                u = src[a]
+                p = prv[a]
+                x = nxt[a]
+                if p == NIL:
+                    if first[u] != a:
+                        raise AlreadyEliminated(u, a - off[u])
+                    first[u] = x
+                    if log is not None:
+                        log(("first", u))
+                else:
+                    if nxt[p] != a:
+                        raise AlreadyEliminated(u, a - off[u])
+                    nxt[p] = x
+                    if log is not None:
+                        log(("nxt", p))
+                if x < off[u + 1]:
+                    prv[x] = p
+                    if log is not None:
+                        log(("prv", x))
+                if monitor is not None:
+                    monitor.on_eliminate(a)
 
         return body
 
     def eliminate(self, arc: int) -> None:
         """Unlink one arc by id, outside any block (tests and tools)."""
-        self._unlinker((arc,), 0, None)(0)
+        self._unlinker((arc,), 0, None)(range(1))
 
     def eliminate_incoming(self, v: int, engine: ParEngine) -> None:
         """Remove every incoming arc of v in one parallel block.

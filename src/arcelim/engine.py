@@ -1,18 +1,24 @@
 """Execution contract for data-parallel blocks, with cost accounting.
 
-All parallelism in this package goes through ``ParEngine.par_for``: a loop
-over an index range whose bodies may read anything but must write pairwise
-disjoint locations (concurrent-read, exclusive-write), followed by a full
-barrier.  The driver code between blocks is strictly sequential.
+All parallelism in this package goes through ``ParEngine.par_for``: a block
+of k independent steps over the indices 0..k-1, followed by a full barrier.
+The block's steps may read anything but must write pairwise disjoint
+locations (concurrent-read, exclusive-write).  The driver code between
+blocks is strictly sequential.
 
-Two backends share identical semantics and identical cost accounting:
+The engine charges a block by its size; the backend runs it as whole
+chunks.  The body is called once per non-empty chunk with the chunk's
+``range`` of indices and runs every step of that range in order, as one
+processor runs its share of a block.  An empty block, or an empty chunk,
+makes no call.  Two backends share identical semantics and identical cost
+accounting:
 
-* ``simulated`` runs bodies inline, in index order.  Deterministic and
-  machine-independent; the default for benchmarks.
+* ``simulated`` makes one call, ``body(range(k))``, on the calling thread.
+  Deterministic and machine-independent; the default for benchmarks.
 * ``threaded`` runs a block as a fork-join over p threads: the driver
   thread is processor 0 and a fixed pool of p - 1 worker threads holds the
-  others.  Chunk w is the contiguous range of ceil(k/p) indices starting at
-  w * ceil(k/p).  The driver hands chunks 1..p-1 over, runs chunk 0 itself
+  others.  Chunk w is ``range(w * c, min(k, (w + 1) * c))`` with
+  c = ceil(k/p).  The driver hands chunks 1..p-1 over, runs chunk 0 itself
   and joins every worker before the block returns, so each block is one
   real synchronization episode.  With p = 1 no thread is started.
 
@@ -21,8 +27,8 @@ Cost model, charged identically by both backends:
 * a block over k indices costs ceil(k/p) time steps, one synchronization
   step, and k units of work; an empty block still synchronizes;
 * ``seq_tick`` charges driver actions (one unit each); traversal drivers
-  tick once per visit, per while-condition evaluation, per queue enqueue or
-  dequeue, and per level advance;
+  count one per visit, per while-condition evaluation, per queue enqueue or
+  dequeue, and per level advance, and charge the total once per run;
 * with p = 1, time_steps == work + seq_steps.
 
 An optional validation mode records every location mutated within a block
@@ -96,10 +102,13 @@ class ParEngine:
 
     # -- execution ----------------------------------------------------------
 
-    def par_for(self, count: int, body: Callable[[int], None]) -> None:
-        """Run body(i) for 0 <= i < count, then synchronize.
+    def par_for(self, count: int, body: Callable[[range], None]) -> None:
+        """Run the block of steps 0..count-1 as chunks, then synchronize.
 
-        Bodies must write pairwise-disjoint locations (caller obligation,
+        ``body(r)`` runs steps ``i in r`` in order and is called once per
+        non-empty chunk: ``range(count)`` on the simulated backend, one
+        contiguous ceil(count/p) share per processor on the threaded one.
+        Steps must write pairwise-disjoint locations (caller obligation,
         checked only in validation mode).  Accounting: ceil(count/p) time
         steps, one synchronization step, count units of work.
         """
@@ -110,8 +119,8 @@ class ParEngine:
         if self.validate_writes:
             self._write_log.clear()
         if self.backend == SIMULATED:
-            for i in range(count):
-                body(i)
+            if count:
+                body(range(count))
         else:
             pool = self._pool
             if pool is None or pool.abandoned:
@@ -180,7 +189,7 @@ class _WorkerPool:
     def __init__(self, processors: int):
         self.processors = processors
         self.abandoned = False
-        self._task: tuple[Callable[[int], None], int, int] | None = None
+        self._task: tuple[Callable[[range], None], int, int] | None = None
         self._errors: list[BaseException | None] = [None] * processors
         self._go = [threading.Lock() for _ in range(processors - 1)]
         self._done = [threading.Lock() for _ in range(processors - 1)]
@@ -200,25 +209,26 @@ class _WorkerPool:
             if task is None:
                 return
             body, count, chunk = task
-            try:
-                for i in range(w * chunk, min(count, w * chunk + chunk)):
-                    body(i)
-            except BaseException as exc:  # re-raised by the driver after the join
-                self._errors[w] = exc
+            lo = w * chunk
+            if lo < count:
+                try:
+                    body(range(lo, min(count, lo + chunk)))
+                except BaseException as exc:  # re-raised by the driver after the join
+                    self._errors[w] = exc
             done.release()
 
-    def run_block(self, body: Callable[[int], None], count: int) -> None:
+    def run_block(self, body: Callable[[range], None], count: int) -> None:
         chunk = -(-count // self.processors)
         errors = self._errors
         self._task = (body, count, chunk)
         try:
             for go in self._go:
                 go.release()
-            try:
-                for i in range(min(count, chunk)):
-                    body(i)
-            except BaseException as exc:
-                errors[0] = exc
+            if count:
+                try:
+                    body(range(chunk))
+                except BaseException as exc:
+                    errors[0] = exc
             for done in self._done:
                 done.acquire()
         except BaseException:

@@ -9,13 +9,15 @@ the drivers never rescan dead arcs.  One block per visit means a run that
 visits k vertices costs exactly k synchronization steps at any processor
 count, and the result is identical for every processor count and backend.
 
-Sequential driver steps are metered on the engine one unit per constant-
-time action: visiting (numbering plus parent/distance bookkeeping),
-checking a vertex for a live arc, and for breadth-first runs enqueue,
-dequeue, and per-level queue swap.  A search visiting k vertices over L
-breadth-first levels (max distance + 1) charges exactly 3k - 1 units
-(depth-first) or 5k - 1 + L (breadth-first); a sweep of n vertices with R
-roots charges 3n - R, or 5n - R plus the sum of L over the roots' trees.
+Sequential driver steps are counted one unit per constant-time action:
+visiting (numbering plus parent/distance bookkeeping), checking a vertex
+for a live arc, and for breadth-first runs enqueue, dequeue, and per-level
+queue swap.  Each driver counts its steps itself and charges them to the
+engine once, with one ``seq_tick``, when its run ends.  A search visiting
+k vertices over L breadth-first levels (max distance + 1) charges exactly
+3k - 1 units (depth-first) or 5k - 1 + L (breadth-first); a sweep of n
+vertices with R roots charges 3n - R, or 5n - R plus the sum of L over the
+roots' trees.
 """
 from __future__ import annotations
 
@@ -40,11 +42,11 @@ Trace = Callable[[str], None]
 def _visit(eg: ElimGraph, v: int, parent: Optional[int], number: int, level: int,
            engine: ParEngine, trace: Optional[Trace]) -> int:
     """One visit, the unit step of both drivers: eliminate v's incoming arcs
-    in one block, number v and record its parent.  Returns the next number."""
+    in one block, number v and record its parent.  Returns the next number;
+    the caller counts the visit's driver step."""
     eg.eliminate_incoming(v, engine)
     eg.traversal[v] = number
     eg.parent[v] = parent
-    engine.seq_tick()
     if eg.monitor is not None:
         eg.monitor.after_visit(v)
     if trace is not None:
@@ -53,49 +55,59 @@ def _visit(eg: ElimGraph, v: int, parent: Optional[int], number: int, level: int
 
 
 def _dfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
+    first, off, tgt = eg.first, eg.off, eg.tgt
     number = _visit(eg, s, None, number, 0, engine, trace)
+    ticks = 1  # the visit of s
     stack = [s]
     while stack:
         v = stack[-1]
-        engine.seq_tick()  # the "any live arc left?" test at v
-        w = eg.first_live_target(v)
-        if w is None:
+        ticks += 1  # the "any live arc left?" test at v
+        a = first[v]
+        if a == off[v + 1]:
             stack.pop()
             continue
+        w = tgt[a]
         # w is necessarily unvisited: a visited vertex has no live incoming arc
         number = _visit(eg, w, v, number, len(stack), engine, trace)
+        ticks += 1  # the visit of w
         stack.append(w)
+    engine.seq_tick(ticks)
     return number
 
 
 def _bfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
     monitor = eg.monitor
+    first, off, tgt, distance = eg.first, eg.off, eg.tgt, eg.distance
     level = 0
-    eg.distance[s] = 0
+    distance[s] = 0
     number = _visit(eg, s, None, number, 0, engine, trace)
+    ticks = 1  # the visit of s
     q: deque[int] = deque([s])
-    engine.seq_tick()  # enqueue s
+    ticks += 1  # enqueue s
     q_next: deque[int] = deque()
     while q:
         level += 1
-        engine.seq_tick()  # level advance and queue swap
+        ticks += 1  # level advance and queue swap
         if monitor is not None:
             monitor.before_level(level, q)
         while q:
             u = q.popleft()
-            engine.seq_tick()  # dequeue
+            ticks += 1  # dequeue
             while True:
-                engine.seq_tick()  # the "any live arc left?" test at u
-                v = eg.first_live_target(u)
-                if v is None:
+                ticks += 1  # the "any live arc left?" test at u
+                a = first[u]
+                if a == off[u + 1]:
                     break
-                eg.distance[v] = level
+                v = tgt[a]
+                distance[v] = level
                 number = _visit(eg, v, u, number, level, engine, trace)
+                ticks += 1  # the visit of v
                 q_next.append(v)
-                engine.seq_tick()  # enqueue
+                ticks += 1  # enqueue
         if monitor is not None:
             monitor.after_level(level, q_next)
         q, q_next = q_next, q
+    engine.seq_tick(ticks)
     return number
 
 

@@ -16,6 +16,11 @@ from arcelim import (
 )
 
 
+def each(f):
+    """Chunk body that runs the per-index step f(i) for every i of its chunk."""
+    return lambda r: [f(i) for i in r]
+
+
 class TestAccounting:
     def test_fresh_engine_all_zero(self):
         rep = ParEngine().report()
@@ -86,13 +91,13 @@ class TestExecution:
     def test_body_runs_once_per_index(self, backend, p):
         hits = [0] * 23
         with ParEngine(p, backend=backend) as eng:
-            eng.par_for(23, lambda i: hits.__setitem__(i, hits[i] + 1))
+            eng.par_for(23, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
         assert hits == [1] * 23
 
     def test_threaded_uses_worker_threads(self):
         seen = set()
         with ParEngine(4, backend=THREADED) as eng:
-            eng.par_for(64, lambda i: seen.add(threading.get_ident()))
+            eng.par_for(64, each(lambda i: seen.add(threading.get_ident())))
         assert len(seen) > 1
 
     def test_threaded_body_exception_propagates(self):
@@ -102,7 +107,7 @@ class TestExecution:
 
         with ParEngine(3, backend=THREADED) as eng:
             with pytest.raises(RuntimeError, match="body failed"):
-                eng.par_for(8, boom)
+                eng.par_for(8, each(boom))
             # engine still usable after a failed block
             eng.par_for(4, lambda i: None)
 
@@ -117,6 +122,41 @@ class TestExecution:
         )
 
 
+class TestChunkContract:
+    """par_for calls its body once per non-empty chunk with the chunk's range."""
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_simulated_one_call_per_nonempty_block(self, p):
+        eng = ParEngine(p)
+        for k in range(12):
+            calls = []
+            eng.par_for(k, calls.append)
+            assert calls == ([range(k)] if k else [])
+        assert eng.report().sync_steps == 12
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_threaded_ceil_chunks_cover_the_block(self, p):
+        driver = threading.get_ident()
+        lock = threading.Lock()
+
+        def body(r):
+            with lock:
+                calls.append((r, threading.get_ident()))
+
+        with ParEngine(p, backend=THREADED) as eng:
+            for k in range(2 * p + 2):
+                calls = []
+                eng.par_for(k, body)
+                c = -(-k // p)
+                want = [range(w * c, min(k, (w + 1) * c)) for w in range(p) if w * c < k]
+                got = sorted((r for r, _ in calls), key=lambda r: r.start)
+                assert got == want
+                assert [i for r in got for i in r] == list(range(k))
+                for r, ident in calls:
+                    assert (ident == driver) == (r.start == 0)
+            assert eng.report().sync_steps == 2 * p + 2
+
+
 class TestWriteValidation:
     def test_disjoint_writes_pass(self):
         cells = [0] * 10
@@ -126,26 +166,26 @@ class TestWriteValidation:
                 cells[i] = 1
                 eng.log_write(("cells", i))
 
-            eng.par_for(10, body)
+            eng.par_for(10, each(body))
         assert cells == [1] * 10
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     def test_overlapping_writes_detected(self, backend):
         with ParEngine(2, backend=backend, validate_writes=True) as eng:
             with pytest.raises(DisjointWriteViolation):
-                eng.par_for(4, lambda i: eng.log_write(("cell",)))
+                eng.par_for(4, each(lambda i: eng.log_write(("cell",))))
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     def test_violation_names_the_duplicated_cell(self, backend):
         with ParEngine(3, backend=backend, validate_writes=True) as eng:
             with pytest.raises(DisjointWriteViolation) as info:
-                eng.par_for(9, lambda i: eng.log_write(("cell", i % 8)))
+                eng.par_for(9, each(lambda i: eng.log_write(("cell", i % 8))))
         assert info.value.cell == ("cell", 0)
 
     def test_log_cleared_between_blocks(self):
         with ParEngine(2, validate_writes=True) as eng:
-            eng.par_for(1, lambda i: eng.log_write(("cell",)))
-            eng.par_for(1, lambda i: eng.log_write(("cell",)))
+            eng.par_for(1, each(lambda i: eng.log_write(("cell",))))
+            eng.par_for(1, each(lambda i: eng.log_write(("cell",))))
 
 
 def _raiser(index, exc):
@@ -166,9 +206,9 @@ class TestPoolLifecycle:
         index = 0 if where == "driver chunk" else count - 1
         with ParEngine(p, backend=THREADED) as eng:
             with pytest.raises(RuntimeError, match="body failed"):
-                eng.par_for(count, _raiser(index, RuntimeError("body failed")))
+                eng.par_for(count, each(_raiser(index, RuntimeError("body failed"))))
             hits = [0] * count
-            eng.par_for(count, lambda i: hits.__setitem__(i, hits[i] + 1))
+            eng.par_for(count, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
         assert hits == [1] * count
 
     def test_first_error_in_chunk_order_after_every_worker(self):
@@ -182,7 +222,7 @@ class TestPoolLifecycle:
 
         with ParEngine(3, backend=THREADED) as eng:
             with pytest.raises(RuntimeError, match="index 0"):
-                eng.par_for(count, body)
+                eng.par_for(count, each(body))
         # the driver's chunk stopped at index 0; every worker's chunk ran
         assert hits == [1, 0, 0] + [1] * (count - chunk)
 
@@ -190,9 +230,9 @@ class TestPoolLifecycle:
     def test_keyboard_interrupt_propagates_and_engine_recovers(self, index):
         with ParEngine(2, backend=THREADED) as eng:
             with pytest.raises(KeyboardInterrupt):
-                eng.par_for(8, _raiser(index, KeyboardInterrupt()))
+                eng.par_for(8, each(_raiser(index, KeyboardInterrupt())))
             hits = [0] * 8
-            eng.par_for(8, lambda i: hits.__setitem__(i, hits[i] + 1))
+            eng.par_for(8, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
         assert hits == [1] * 8
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
@@ -211,12 +251,12 @@ class TestPoolLifecycle:
 
         eng = ParEngine(2, backend=THREADED)
         with pytest.raises(KeyboardInterrupt):
-            eng.par_for(2, body)
+            eng.par_for(2, each(body))
             resume.wait(5)  # reached only if the signal came late
         stale = eng._pool._threads
         resume.set()
         hits = [0] * 6
-        eng.par_for(6, lambda i: hits.__setitem__(i, hits[i] + 1))
+        eng.par_for(6, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
         assert hits == [1] * 6
         eng.close()
         for t in stale:
@@ -233,7 +273,7 @@ class TestPoolLifecycle:
         eng.close()
         assert threading.active_count() == before
         hits = [0] * 5
-        eng.par_for(5, lambda i: hits.__setitem__(i, hits[i] + 1))
+        eng.par_for(5, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
         assert hits == [1] * 5
         eng.close()
         assert threading.active_count() == before
@@ -243,7 +283,7 @@ class TestPoolLifecycle:
         before = threading.active_count()
         seen = set()
         with ParEngine(1, backend=THREADED) as eng:
-            eng.par_for(6, lambda i: seen.add(threading.get_ident()))
+            eng.par_for(6, each(lambda i: seen.add(threading.get_ident())))
             assert threading.active_count() == before
         assert seen == {threading.get_ident()}
 
@@ -258,7 +298,7 @@ class TestPoolLifecycle:
             with ParEngine(p, backend=THREADED) as eng:
                 for k in sizes:
                     hits = [0] * k
-                    eng.par_for(k, lambda i: hits.__setitem__(i, hits[i] + 1))
+                    eng.par_for(k, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
                     assert hits == [1] * k
                 assert threading.active_count() <= before + p - 1
         finally:
