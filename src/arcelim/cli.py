@@ -10,13 +10,12 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from . import generators
 from .elim import ElimGraph
-from .engine import SIMULATED, THREADED, CostReport, ParEngine
+from .engine import SIMULATED, THREADED, ParEngine
 from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .traverse import BFS, DFS, KINDS, bfs, dfs, verify_against_oracle
@@ -36,37 +35,6 @@ CSV_COLUMNS = (
     "wall_nanos",
     "speedup_model",
 )
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One benchmark measurement: one graph, one traversal, one p."""
-
-    family: str
-    n: int
-    m: int
-    p: int
-    mode: str
-    kind: str
-    time_steps: int
-    sync_steps_build: int
-    sync_steps_traverse: int
-    work: int
-    seq_steps: int
-    wall_nanos: Optional[int]  # threaded mode only
-    speedup_model: float  # time_steps(p=1) / time_steps(p); the former is work + seq_steps
-
-    def as_row(self) -> list[str]:
-        row = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            if name == "speedup_model":
-                row.append("%.6f" % value)
-            elif value is None:
-                row.append("")
-            else:
-                row.append(str(value))
-        return row
 
 
 def _read_graph(path: str) -> Graph:
@@ -217,35 +185,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [tok for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ValueError("--sizes must name at least one size")
-    records: list[BenchRecord] = []
+    rows: list[list] = []
     for token in sizes:
         g = _bench_graph(args.family, token, args.seed)
         for kind in kinds:
             for p in procs:
                 _, build, total, wall = _run_traversal(g, kind, args.start, 0, p, args.mode)
-                records.append(
-                    BenchRecord(
-                        family=args.family,
-                        n=g.num_vertices,
-                        m=g.num_arcs,
-                        p=p,
-                        mode=args.mode,
-                        kind=kind,
-                        time_steps=total.time_steps,
-                        sync_steps_build=build.sync_steps,
-                        sync_steps_traverse=total.sync_steps - build.sync_steps,
-                        work=total.work,
-                        seq_steps=total.seq_steps,
-                        wall_nanos=wall if args.mode == THREADED else None,
-                        speedup_model=(total.work + total.seq_steps) / total.time_steps,
-                    )
-                )
+                rows.append([
+                    args.family, g.num_vertices, g.num_arcs, p, args.mode, kind,
+                    total.time_steps, build.sync_steps, total.sync_steps - build.sync_steps,
+                    total.work, total.seq_steps,
+                    wall if args.mode == THREADED else None,  # wall_nanos: threaded only
+                    # speedup_model: time_steps(p=1) / time_steps(p); the former is
+                    # work + seq_steps
+                    "%.6f" % ((total.work + total.seq_steps) / total.time_steps),
+                ])
     out = _out_stream(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.as_row())
+        writer.writerows(rows)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -87,7 +87,7 @@ class ElimGraph:
         ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps; the arrays are
         sized by an untimed pre-pass, so the timed phase never reallocates.
         """
-        from .engine import THREADED, ParEngine
+        from .engine import ParEngine
 
         if engine is None:
             engine = ParEngine()
@@ -127,7 +127,7 @@ class ElimGraph:
             engine.par_for(off[u + 1] - lo, arc_body)
 
         if monitor is not None:
-            monitor.attach(eg, threaded=engine.backend == THREADED)
+            monitor.attach(eg)
         return eg
 
     # -- elimination ---------------------------------------------------------
@@ -143,7 +143,6 @@ class ElimGraph:
         one pointer, so liveness is an O(1) test.
         """
         src, off, first, nxt, prv = self.src, self.off, self.first, self.nxt, self.prv
-        monitor = self.monitor
 
         def body(r: range) -> None:
             for i in r:
@@ -167,25 +166,30 @@ class ElimGraph:
                     prv[x] = p
                     if log is not None:
                         log(("prv", x))
-                if monitor is not None:
-                    monitor.on_eliminate(a)
 
         return body
 
     def eliminate(self, arc: int) -> None:
         """Unlink one arc by id, outside any block (tests and tools)."""
         self._unlinker((arc,), 0, None)(range(1))
+        if self.monitor is not None:
+            self.monitor.on_eliminate(arc)
 
     def eliminate_incoming(self, v: int, engine: ParEngine) -> None:
         """Remove every incoming arc of v in one parallel block.
 
         The sources of v's incoming arcs are pairwise distinct, so the
         block's writes are disjoint.  Always costs one synchronization step,
-        even for indeg(v) == 0.
+        even for indeg(v) == 0.  A monitor hears of each arc from the driver,
+        after the block has joined.
         """
-        lo = self.in_off[v]
+        lo, hi = self.in_off[v], self.in_off[v + 1]
         log = engine.log_write if engine.validate_writes else None
-        engine.par_for(self.in_off[v + 1] - lo, self._unlinker(self.in_arc, lo, log))
+        engine.par_for(hi - lo, self._unlinker(self.in_arc, lo, log))
+        monitor = self.monitor
+        if monitor is not None:
+            for a in self.in_arc[lo:hi]:
+                monitor.on_eliminate(a)
 
     # -- queries -------------------------------------------------------------
 

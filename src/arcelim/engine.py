@@ -218,6 +218,12 @@ class _WorkerPool:
             done.release()
 
     def run_block(self, body: Callable[[range], None], count: int) -> None:
+        """Run one block: release every worker, run chunk 0, join.
+
+        A SIGINT that reaches the driver after it has released the GIL and
+        before it blocks in ``done.acquire()`` is acted on only when that
+        join returns, so the interrupt waits for the slowest worker chunk.
+        """
         chunk = -(-count // self.processors)
         errors = self._errors
         self._task = (body, count, chunk)

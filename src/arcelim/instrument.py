@@ -4,7 +4,8 @@ The monitor watches an ElimGraph during a traversal and fails fast on:
 
 * a visited vertex that still has a live incoming arc (checked after every
   visit),
-* any arc eliminated more than once,
+* any arc eliminated more than once, or reported eliminated while its list
+  still links it,
 * corrupted list links, a live arc into a visited vertex anywhere, or an
   arc into a visited vertex that survived (checked structurally).
 
@@ -19,12 +20,16 @@ Two levels trade cost for directness:
   the current queue share one distance; no live arc connects two members
   of the next-level queue).  Quadratic; meant for small graphs.
 
+Every hook runs on the sequential driver, never inside a block: after each
+visit's elimination block has joined, the driver reports the block's arcs
+one by one, and the monitor checks that each is unlinked.  A step that was
+charged but never ran is therefore caught at that visit, not at finish().
+
 Violations raise InvariantViolation immediately.  The ``stats`` dict counts
 how many checks actually ran, so callers can assert the monitor was live.
 """
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
 from .elim import NIL, ElimGraph
@@ -48,34 +53,34 @@ class InvariantMonitor:
             "structural_scans": 0,
             "level_checks": 0,
         }
-        self._lock: threading.Lock | None = None
 
-    def attach(self, eg: ElimGraph, threaded: bool = True) -> None:
-        """Watch ``eg``; ``threaded`` says whether eliminations may run on
-        several threads at once, which makes on_eliminate take a lock."""
+    def attach(self, eg: ElimGraph) -> None:
+        """Watch ``eg``, which has just been built."""
         self.eg = eg
         eg.monitor = self
-        self._lock = threading.Lock() if threaded else None
         self._live_in = list(eg.indeg)
         self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------
 
     def on_eliminate(self, arc: int) -> None:
-        if self._lock is None:
-            self._record_elimination(arc)
-        else:
-            with self._lock:
-                self._record_elimination(arc)
-
-    def _record_elimination(self, arc: int) -> None:
+        """One arc unlinked by the block that just joined.  The liveness
+        test is the unlink body's own: a live arc is pointed at by its
+        predecessor's nxt, or by first at the head of its list."""
+        eg = self.eg
+        u = eg.src[arc]
         if self._eliminated[arc]:
-            u = self.eg.src[arc]
             raise InvariantViolation(
-                f"arc (source {u}, slot {arc - self.eg.off[u]}) eliminated twice"
+                f"arc (source {u}, slot {arc - eg.off[u]}) eliminated twice"
+            )
+        p = eg.prv[arc]
+        if (eg.first[u] if p == NIL else eg.nxt[p]) == arc:
+            raise InvariantViolation(
+                f"arc (source {u}, slot {arc - eg.off[u]}) reported eliminated "
+                "but still linked"
             )
         self._eliminated[arc] = 1
-        self._live_in[self.eg.tgt[arc]] -= 1
+        self._live_in[eg.tgt[arc]] -= 1
         self.stats["eliminations"] += 1
 
     def after_visit(self, v: int) -> None:

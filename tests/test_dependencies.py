@@ -1,4 +1,5 @@
-"""The core package imports nothing outside the standard library."""
+"""The core package imports nothing outside the standard library, and all
+of its concurrency lives in the engine."""
 import ast
 import sys
 from pathlib import Path
@@ -25,3 +26,12 @@ def test_core_package_imports_only_the_standard_library():
     assert imported, "no absolute import found; the scan is not reading the sources"
     outside = sorted(pair for pair in imported if pair[1] not in sys.stdlib_module_names)
     assert outside == []
+
+
+def test_only_the_engine_imports_threading():
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "threading" in {name.partition(".")[0] for name in absolute_imports(path)}
+    )
+    assert importers == ["engine.py"]

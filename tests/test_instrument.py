@@ -1,13 +1,18 @@
 """The monitor must actually catch broken invariants, not just pass clean
 runs; every check gets a negative control here."""
+import threading
+
 import pytest
 
 from arcelim import (
     COUNTERS,
+    SIMULATED,
+    THREADED,
     ElimGraph,
     InvariantMonitor,
     InvariantViolation,
     PARANOID,
+    ParEngine,
     bfs,
     dfs,
     path,
@@ -61,6 +66,17 @@ class TestViolationsCaught:
         with pytest.raises(InvariantViolation, match=r"source 0, slot 1\) eliminated twice"):
             monitor.on_eliminate(eg.off[0] + 1)
 
+    @pytest.mark.parametrize("slot", [0, 1, 3])
+    def test_report_of_a_still_linked_arc(self, slot):
+        # slot 0 is pointed at by first, the others by their predecessor's nxt
+        monitor, eg = attached()
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"source 0, slot {slot}\) reported eliminated but still linked",
+        ):
+            monitor.on_eliminate(eg.off[0] + slot)
+        assert monitor.stats["eliminations"] == 0
+
     def test_structural_scan_sees_relinked_slot(self):
         monitor, eg = attached()
         a0, a1, a2, _ = range(eg.off[0], eg.off[1])
@@ -113,3 +129,43 @@ class TestViolationsCaught:
         # 0 -> 1 is live; a queue holding both violates the level property
         with pytest.raises(InvariantViolation, match="connects"):
             monitor.after_level(1, [0, 1])
+
+
+class SkippingEngine(ParEngine):
+    """Charges every block as ParEngine does but runs none of its steps."""
+
+    def par_for(self, count, body):
+        super().par_for(count, lambda r: None)
+
+
+class TestDriverSideReports:
+    """The driver reports each eliminated arc after its block has joined."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("search", [dfs, bfs])
+    def test_skipped_block_fails_at_the_first_visit(self, search, backend):
+        monitor, eg = attached()  # vertex 0 has four incoming arcs
+        with SkippingEngine(2, backend=backend) as engine:
+            with pytest.raises(InvariantViolation, match="still linked"):
+                search(eg, 0, engine=engine)
+        assert eg.traversal == [None] * 9
+        assert monitor.stats["visit_checks"] == 0
+        assert monitor.stats["structural_scans"] == 0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("search", [dfs, bfs])
+    def test_threaded_reports_come_from_the_driver(self, search, p):
+        monitor = InvariantMonitor()
+        callers = []
+        record = monitor.on_eliminate
+
+        def on_eliminate(arc):
+            callers.append(threading.get_ident())
+            record(arc)
+
+        monitor.on_eliminate = on_eliminate
+        with ParEngine(p, backend=THREADED) as engine:
+            eg = ElimGraph.build(sample9(), engine, monitor=monitor)
+            search(eg, 0, engine=engine)
+        assert len(callers) == monitor.stats["eliminations"] == 24
+        assert set(callers) == {threading.get_ident()}

@@ -1,7 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcelim import Graph, InvalidStart, complete, gnm, path, sample9, seq_bfs, seq_dfs
+from arcelim import (
+    ElimGraph,
+    Graph,
+    InvalidStart,
+    bfs,
+    complete,
+    dfs,
+    gnm,
+    path,
+    sample9,
+    seq_bfs,
+    seq_dfs,
+)
 
 
 def hop_distances(g, s):
@@ -130,3 +142,28 @@ class TestSerialization:
     def test_visit_order_helper(self):
         res = seq_dfs(sample9(), 0)
         assert res.visited() == [0, 1, 5, 7, 8, 4, 3, 6, 2]
+
+
+class TestNetworkx:
+    """networkx as a third reference, sharing no code with either side."""
+
+    @pytest.mark.parametrize("kind", ["dfs", "bfs"])
+    def test_visit_order_and_parents_match(self, kind):
+        nx = pytest.importorskip("networkx")
+        seq, driver = (seq_dfs, dfs) if kind == "dfs" else (seq_bfs, bfs)
+        for seed in range(200):
+            g = gnm(40, 200, seed)
+            G = nx.DiGraph()
+            G.add_nodes_from(range(g.num_vertices))
+            G.add_edges_from((u, v) for u in range(g.num_vertices) for v in g.targets(u))
+            if kind == "dfs":
+                order = list(nx.dfs_preorder_nodes(G, 0))
+                edges = list(nx.dfs_edges(G, 0))
+            else:
+                edges = list(nx.bfs_edges(G, 0))
+                order = [0] + [v for _, v in edges]
+            parents = {v: u for u, v in edges}
+            want = [parents.get(v) for v in range(g.num_vertices)]
+            for result in (seq(g, 0), driver(ElimGraph.build(g), 0)):
+                assert result.visited() == order, seed
+                assert list(result.parent) == want, seed
