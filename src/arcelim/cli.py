@@ -105,7 +105,8 @@ def _run_traversal(
 ):
     """Build the search structure and run one traversal on one engine.
 
-    Returns (result, build-phase report, total report, wall nanoseconds).
+    Returns (result, build-phase report, the closed engine, wall
+    nanoseconds); ``engine.report(p)`` gives the run's cost at any p.
     """
     with ParEngine(procs, backend=mode) as engine:
         t0 = time.perf_counter_ns()
@@ -114,16 +115,16 @@ def _run_traversal(
         run = dfs if kind == DFS else bfs
         result = run(eg, start, a0, engine, trace)
         wall = time.perf_counter_ns() - t0
-        total = engine.report()
-    return result, build, total, wall
+    return result, build, engine, wall
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    result, build, total, _ = _run_traversal(
+    result, build, engine, _ = _run_traversal(
         g, args.kind, args.start, args.a0, args.procs, args.mode, trace
     )
+    total = engine.report()
     sys.stdout.write(result.serialize())
     sys.stdout.write("\n")
     sys.stdout.write(total.as_kv_block())
@@ -189,8 +190,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for token in sizes:
         g = _bench_graph(args.family, token, args.seed)
         for kind in kinds:
+            engine = None
             for p in procs:
-                _, build, total, wall = _run_traversal(g, kind, args.start, 0, p, args.mode)
+                # block sizes do not depend on p, so one simulated run gives
+                # every row; a threaded row needs its own run for wall_nanos
+                if engine is None or args.mode == THREADED:
+                    _, build, engine, wall = _run_traversal(g, kind, args.start, 0, p, args.mode)
+                total = engine.report(p)
                 rows.append([
                     args.family, g.num_vertices, g.num_arcs, p, args.mode, kind,
                     total.time_steps, build.sync_steps, total.sync_steps - build.sync_steps,

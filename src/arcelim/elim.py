@@ -26,9 +26,8 @@ live arc of any list always discovers an unvisited vertex.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import AlreadyEliminated
 from .graph import Graph
@@ -60,8 +59,10 @@ class ElimGraph:
         self.n = n
         self.off = array(ID, accumulate(map(len, graph.out_lists), initial=0))
         self.tgt = array(ID, chain.from_iterable(graph.out_lists))
-        counts = Counter(self.tgt)
-        self.in_off = array(ID, accumulate(map(counts.__getitem__, range(n)), initial=0))
+        counts = [0] * n
+        for v in self.tgt:
+            counts[v] += 1
+        self.in_off = array(ID, accumulate(counts, initial=0))
         self.src = array(ID, [0]) * m
         self.in_arc = array(ID, [0]) * m
         self.nxt = array(ID, [0]) * m
@@ -73,6 +74,9 @@ class ElimGraph:
         self.parent: list[int | None] = [None] * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
+        self._lo = [0]  # first in-table slot of the current unlink block
+        # write log (None when not validating) -> unlink body, built on first use
+        self._unlink_bodies: dict[Optional[Callable], Callable[[range], None]] = {}
 
     @classmethod
     def build(cls, graph: Graph, engine: ParEngine | None = None,
@@ -132,21 +136,29 @@ class ElimGraph:
 
     # -- elimination ---------------------------------------------------------
 
-    def _unlinker(self, ids: Sequence[int], lo: int,
-                  log: Optional[Callable[[tuple], None]]) -> Callable[[range], None]:
-        """Block body that unlinks, for each i of its chunk, arc
-        ``ids[lo + i]`` from its source's live list in O(1), logging each
-        write when ``log`` is given.
-
-        Raises AlreadyEliminated if the arc is not live: a live arc is
-        pointed at by its predecessor (or by first), and unlink removes that
-        one pointer, so liveness is an O(1) test.
-        """
+    def _unlink_body(self, log: Optional[Callable[[tuple], None]]) -> Callable[[range], None]:
+        """Build and cache the unlink body for ``log``; callers look it up in
+        ``_unlink_bodies`` first, so it is built once per search structure
+        and write log, not once per visit."""
         src, off, first, nxt, prv = self.src, self.off, self.first, self.nxt, self.prv
+        in_arc, cell = self.in_arc, self._lo
 
         def body(r: range) -> None:
-            for i in r:
-                a = ids[lo + i]
+            """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from
+            its source's live list in O(1), logging each write when ``log``
+            is given.
+
+            ``lo`` is the one-slot cell ``self._lo``, read once per chunk.
+            The driver writes it before it hands the block's chunks over and
+            not again until the join returns, so every chunk of a block
+            reads the block's own slot, on either backend.
+
+            Raises AlreadyEliminated if the arc is not live: a live arc is
+            pointed at by its predecessor (or by first), and unlink removes
+            that one pointer, so liveness is an O(1) test.
+            """
+            lo = cell[0]
+            for a in in_arc[lo + r.start:lo + r.stop]:
                 u = src[a]
                 p = prv[a]
                 x = nxt[a]
@@ -167,11 +179,14 @@ class ElimGraph:
                     if log is not None:
                         log(("prv", x))
 
+        self._unlink_bodies[log] = body
         return body
 
     def eliminate(self, arc: int) -> None:
         """Unlink one arc by id, outside any block (tests and tools)."""
-        self._unlinker((arc,), 0, None)(range(1))
+        v = self.tgt[arc]
+        self._lo[0] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1])
+        (self._unlink_bodies.get(None) or self._unlink_body(None))(range(1))
         if self.monitor is not None:
             self.monitor.on_eliminate(arc)
 
@@ -183,9 +198,11 @@ class ElimGraph:
         even for indeg(v) == 0.  A monitor hears of each arc from the driver,
         after the block has joined.
         """
-        lo, hi = self.in_off[v], self.in_off[v + 1]
+        in_off = self.in_off
+        lo = self._lo[0] = in_off[v]
+        hi = in_off[v + 1]
         log = engine.log_write if engine.validate_writes else None
-        engine.par_for(hi - lo, self._unlinker(self.in_arc, lo, log))
+        engine.par_for(hi - lo, self._unlink_bodies.get(log) or self._unlink_body(log))
         monitor = self.monitor
         if monitor is not None:
             for a in self.in_arc[lo:hi]:

@@ -31,6 +31,13 @@ Cost model, charged identically by both backends:
   dequeue, and per level advance, and charge the total once per run;
 * with p = 1, time_steps == work + seq_steps.
 
+A block is recorded by its size only: the engine keeps a histogram
+``{k: number c of blocks of size k}``, one dict update per block, and
+``report(p)`` derives the block counters from it for any p: time_steps =
+sum of c * ceil(k/p) + seq_steps, sync_steps = sum of c, work = sum of
+c * k.  Block sizes do not depend on p, so one run gives the counted cost
+at every processor count.
+
 An optional validation mode records every location mutated within a block
 (bodies report them via ``log_write``) and fails the block on any duplicate,
 enforcing the exclusive-write contract.  Only the threaded backend locks
@@ -89,9 +96,7 @@ class ParEngine:
         self.processors = processors
         self.backend = backend
         self.validate_writes = validate_writes
-        self.time_steps = 0
-        self.sync_steps = 0
-        self.work = 0
+        self.histogram: dict[int, int] = {}  # block size -> blocks of that size
         self.seq_steps = 0
         self._pool: _WorkerPool | None = None
         self._write_log: list[tuple] = []
@@ -110,12 +115,11 @@ class ParEngine:
         contiguous ceil(count/p) share per processor on the threaded one.
         Steps must write pairwise-disjoint locations (caller obligation,
         checked only in validation mode).  Accounting: ceil(count/p) time
-        steps, one synchronization step, count units of work.
+        steps, one synchronization step, count units of work, all derived
+        by ``report`` from the block-size histogram.
         """
-        p = self.processors
-        self.time_steps += -(-count // p)
-        self.sync_steps += 1
-        self.work += count
+        histogram = self.histogram
+        histogram[count] = histogram.get(count, 0) + 1
         if self.validate_writes:
             self._write_log.clear()
         if self.backend == SIMULATED:
@@ -124,7 +128,7 @@ class ParEngine:
         else:
             pool = self._pool
             if pool is None or pool.abandoned:
-                pool = self._pool = _WorkerPool(p)
+                pool = self._pool = _WorkerPool(self.processors)
             pool.run_block(body, count)
         if self.validate_writes:
             self._check_block_writes()
@@ -132,10 +136,20 @@ class ParEngine:
     def seq_tick(self, units: int = 1) -> None:
         """Charge sequential driver work: units time steps outside any block."""
         self.seq_steps += units
-        self.time_steps += units
 
-    def report(self) -> CostReport:
-        return CostReport(self.time_steps, self.sync_steps, self.work, self.seq_steps)
+    def report(self, p: int | None = None) -> CostReport:
+        """The counted cost so far at p processors (default: the engine's
+        own), derived from the block-size histogram and the driver steps."""
+        if p is None:
+            p = self.processors
+        elif p < 1:
+            raise ValueError(f"processors must be >= 1, got {p}")
+        time_steps = sync_steps = work = 0
+        for k, c in self.histogram.items():
+            time_steps += c * -(-k // p)
+            sync_steps += c
+            work += c * k
+        return CostReport(time_steps + self.seq_steps, sync_steps, work, self.seq_steps)
 
     # -- write validation ----------------------------------------------------
 

@@ -251,6 +251,23 @@ class TestBench:
         assert main(["bench", "--family", "path", "--sizes", "8,12", "--procs", "4"]) == 0
         assert sorted(calls) == [(8, "bfs"), (8, "dfs"), (12, "bfs"), (12, "dfs")]
 
+    @pytest.mark.parametrize("mode,runs", [("simulated", 1), ("threaded", 3)])
+    def test_simulated_rows_share_one_run(self, capsys, monkeypatch, mode, runs):
+        """Block sizes do not depend on p, so a simulated bench derives every
+        p row from one run; a threaded row needs its own wall time."""
+        calls = []
+        real = cli._run_traversal
+
+        def counted(g, kind, start, a0, p, *rest):
+            calls.append(p)
+            return real(g, kind, start, a0, p, *rest)
+
+        monkeypatch.setattr(cli, "_run_traversal", counted)
+        assert main(["bench", "--family", "path", "--sizes", "12", "--kinds", "dfs",
+                     "--procs", "1,2,4", "--mode", mode]) == 0
+        assert len(calls) == runs
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
     def test_threaded_mode_reports_wall_nanos(self, capsys):
         assert main(
             ["bench", "--family", "path", "--sizes", "50",

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from arcelim import (
     NIL,
     AlreadyEliminated,
+    BFS,
+    DFS,
     ElimGraph,
     Graph,
     InvariantMonitor,
@@ -13,8 +15,11 @@ from arcelim import (
     ParEngine,
     SIMULATED,
     THREADED,
+    bfs,
+    dfs,
     gnm,
     sample9,
+    sweep,
 )
 
 
@@ -209,6 +214,111 @@ class TestEliminateIncoming:
             eg = ElimGraph.build(g, eng)
             for v in (3, 0, 6):
                 eg.eliminate_incoming(v, eng)
+
+
+class RecordingEngine(ParEngine):
+    """Keeps every body passed to ``par_for`` and, in validation mode, the
+    cells each block logged."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bodies = []
+        self.cells = []
+
+    def par_for(self, count, body):
+        self.bodies.append(body)
+        super().par_for(count, body)
+        if self.validate_writes:
+            self.cells.append(list(self._write_log))
+
+
+# the cells each visit's block logs in validation mode, one list per visit
+SAMPLE_DFS_CELLS = [
+    [("nxt", 4), ("nxt", 8), ("nxt", 11), ("first", 4), ("prv", 14)],
+    [("first", 0), ("prv", 1), ("nxt", 18)],
+    [("first", 1), ("first", 2), ("prv", 7), ("nxt", 10)],
+    [("first", 5), ("prv", 17)],
+    [("first", 7), ("prv", 21)],
+    [("nxt", 2), ("first", 8), ("prv", 23)],
+    [("nxt", 1), ("first", 2), ("prv", 8), ("first", 4), ("prv", 15), ("first", 5),
+     ("prv", 18), ("first", 8)],
+    [("first", 2), ("first", 3), ("first", 4), ("first", 7)],
+    [("first", 0), ("first", 5)],
+]
+SAMPLE_BFS_CELLS = [
+    [("nxt", 4), ("nxt", 8), ("nxt", 11), ("first", 4), ("prv", 14)],
+    [("first", 0), ("prv", 1), ("nxt", 18)],
+    [("first", 0), ("prv", 2), ("nxt", 17)],
+    [("first", 0), ("prv", 3), ("nxt", 6), ("prv", 8), ("first", 4), ("prv", 15),
+     ("nxt", 16), ("nxt", 22)],
+    [("first", 0), ("first", 8)],
+    [("first", 1), ("first", 2), ("prv", 8), ("nxt", 10)],
+    [("first", 2), ("first", 3), ("first", 4), ("nxt", 20)],
+    [("first", 5)],
+    [("first", 7)],
+]
+
+
+class TestUnlinkBody:
+    """One unlink body per search structure and write log, reused by every
+    visit; its checks and its logged cells are those of a body per visit."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate_writes", [False, True])
+    @pytest.mark.parametrize("kind", ["dfs", "bfs", "sweep"])
+    def test_every_visit_passes_the_same_body(self, backend, validate_writes, kind):
+        g = gnm(30, 120, 4)
+        with RecordingEngine(3, backend=backend, validate_writes=validate_writes) as eng:
+            eg = ElimGraph.build(g, eng)
+            built = len(eng.bodies)
+            if kind == "sweep":
+                res = sweep(eg, DFS, 0, eng)
+            else:
+                res = (dfs if kind == "dfs" else bfs)(eg, 0, 0, eng)
+        visits = eng.bodies[built:]
+        assert len(visits) == res.visited_count > 1
+        assert all(body is visits[0] for body in visits)
+
+    # vertex 3's in-arcs sit inside their source lists and vertex 5's first
+    # two head theirs, so both liveness tests (nxt and first) are exercised
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate_writes", [False, True])
+    @pytest.mark.parametrize("v", [3, 5])
+    def test_second_elimination_of_a_vertex_rejected(self, backend, validate_writes, v):
+        with ParEngine(3, backend=backend, validate_writes=validate_writes) as eng:
+            eg = ElimGraph.build(sample9(), eng)
+            eg.eliminate_incoming(v, eng)
+            with pytest.raises(AlreadyEliminated) as exc:
+                eg.eliminate_incoming(v, eng)
+        # the driver's chunk comes first
+        assert (exc.value.source, exc.value.slot) == in_table(eg, v)[0]
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate_writes", [False, True])
+    @pytest.mark.parametrize("v,i", [(3, i) for i in range(5)] + [(5, i) for i in range(3)])
+    def test_block_over_an_eliminated_arc_rejected(self, backend, validate_writes, v, i):
+        """At p=3, vertex 3's five in-arcs fall into the driver's chunk
+        (0-1) and both workers' chunks (2-3 and 4); vertex 5's three in-arcs
+        get one chunk each."""
+        with ParEngine(3, backend=backend, validate_writes=validate_writes) as eng:
+            eg = ElimGraph.build(sample9(), eng)
+            a = eg.in_arc[eg.in_off[v] + i]
+            eg.eliminate(a)
+            with pytest.raises(AlreadyEliminated) as exc:
+                eg.eliminate_incoming(eg.tgt[a], eng)
+        assert (exc.value.source, exc.value.slot) == in_table(eg, v)[i]
+
+    @pytest.mark.parametrize("kind,want", [(DFS, SAMPLE_DFS_CELLS), (BFS, SAMPLE_BFS_CELLS)])
+    @pytest.mark.parametrize("p,backend", [(1, SIMULATED), (3, SIMULATED), (3, THREADED)])
+    def test_logged_cells_per_visit_golden(self, kind, want, p, backend):
+        with RecordingEngine(p, backend=backend, validate_writes=True) as eng:
+            eg = ElimGraph.build(sample9(), eng)
+            built = len(eng.cells)
+            (dfs if kind == DFS else bfs)(eg, 0, 0, eng)
+        got = eng.cells[built:]
+        if backend == THREADED:  # chunks run concurrently: compare each block's cells as a set
+            got, want = [sorted(c) for c in got], [sorted(c) for c in want]
+        assert got == want
 
 
 class TestFirstLiveTarget:

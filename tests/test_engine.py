@@ -1,3 +1,4 @@
+import inspect
 import random
 import signal
 import sys
@@ -12,6 +13,7 @@ from arcelim import (
     THREADED,
     CostReport,
     DisjointWriteViolation,
+    ElimGraph,
     ParEngine,
 )
 
@@ -77,6 +79,25 @@ class TestAccounting:
                 eng.par_for(k, lambda i: None)
             times.append(eng.report().time_steps)
         assert times == sorted(times, reverse=True)
+
+    @given(st.lists(st.integers(0, 50), max_size=20), st.integers(0, 9))
+    def test_report_at_any_p_equals_a_run_at_that_p(self, sizes, ticks):
+        """One run's block-size histogram gives the counted cost at every p."""
+        one = ParEngine(1)
+        for k in sizes:
+            one.par_for(k, lambda r: None)
+        one.seq_tick(ticks)
+        assert one.histogram == {k: sizes.count(k) for k in set(sizes)}
+        for p in (1, 2, 3, 8):
+            real = ParEngine(p)
+            for k in sizes:
+                real.par_for(k, lambda r: None)
+            real.seq_tick(ticks)
+            assert one.report(p) == real.report() == real.report(p)
+
+    def test_report_rejects_p_below_one(self):
+        with pytest.raises(ValueError, match="processors must be >= 1"):
+            ParEngine().report(0)
 
     def test_processors_validated(self):
         with pytest.raises(ValueError):
@@ -308,6 +329,28 @@ class TestPoolLifecycle:
         for k in sizes:
             sim.par_for(k, lambda i: None)
         assert eng.report() == sim.report()
+
+
+class TestTracerContract:
+    """perfbench's tracer times every block by patching ``par_for`` on the
+    ParEngine class and ``eliminate_incoming`` on the ElimGraph class, and
+    its gate checks the counted time against the block sizes it sees.  A
+    ``par_for`` bound on the instance, or one with another signature, would
+    hide the blocks from it."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate_writes", [False, True])
+    def test_par_for_is_not_an_instance_attribute(self, backend, validate_writes):
+        with ParEngine(2, backend=backend, validate_writes=validate_writes) as eng:
+            eng.par_for(3, lambda r: None)
+            assert "par_for" not in vars(eng)
+
+    def test_hooked_signatures(self):
+        def params(f):
+            return list(inspect.signature(f).parameters)
+
+        assert params(ParEngine.par_for) == ["self", "count", "body"]
+        assert params(ElimGraph.eliminate_incoming) == ["self", "v", "engine"]
 
 
 class TestCostReport:

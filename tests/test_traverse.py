@@ -273,6 +273,29 @@ class TestPInvariance:
             assert trav.sync_steps == res.visited_count
 
 
+class TestDerivedReport:
+    """The counted cost at any p follows from one run's block sizes."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("kind", ["dfs", "bfs", "sweep"])
+    @pytest.mark.parametrize("graph", ["sample9", "gnm"])
+    def test_report_at_p_equals_a_run_at_p(self, backend, kind, graph):
+        g = sample9() if graph == "sample9" else gnm(40, 300, 11)
+
+        def engine_after_run(p):
+            with ParEngine(p, backend=backend) as engine:
+                eg = ElimGraph.build(g, engine)
+                if kind == "sweep":
+                    sweep(eg, BFS, 0, engine)
+                else:
+                    (dfs if kind == DFS else bfs)(eg, 0, 0, engine)
+            return engine
+
+        once = engine_after_run(1)
+        for p in (1, 2, 3, 8):
+            assert once.report(p) == engine_after_run(p).report()
+
+
 class TestDifferential:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
