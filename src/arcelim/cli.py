@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 from . import generators
 from .elim import ElimGraph
@@ -36,14 +37,28 @@ CSV_COLUMNS = (
     "speedup_model",
 )
 
+# family -> gen's flags for its integer parameters, then the separator and
+# form of a bench --sizes token that names two; those families take the seed
+FAMILIES = {
+    "gnm": (("n", "m"), ":", "n:m"),
+    "complete": (("n",), None, None),
+    "path": (("n",), None, None),
+    "star_out": (("n",), None, None),
+    "layered_dag": (("width", "depth"), "x", "WIDTHxDEPTH"),
+    "sample9": ((), None, None),
+}
+
 
 def _read_graph(path: str) -> Graph:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_edge_list(text)
 
 
-def _out_stream(path: str) -> TextIO:
-    return sys.stdout if path == "-" else open(path, "w")
+def _write(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -63,37 +78,31 @@ def _parse_kinds(text: str) -> list[str]:
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown traversal kind {kind!r} (use dfs, bfs, or both)")
+    if not kinds:
+        raise ValueError("--kinds must name at least one kind")
     return kinds
+
+
+def _make_graph(family: str, values: list[int], seed: int) -> Graph:
+    """The ``family`` graph with its FAMILIES parameters set to ``values``."""
+    make = getattr(generators, family)
+    return make(*values, seed) if len(values) == 2 else make(*values)
 
 
 # -- gen -----------------------------------------------------------------------
 
 
 def _generate(args: argparse.Namespace) -> Graph:
-    family = args.family
-    if family == "sample9":
-        return generators.sample9()
-    if family == "gnm":
-        if args.n is None or args.m is None:
-            raise ValueError("gnm needs --n and --m")
-        return generators.gnm(args.n, args.m, args.seed)
-    if family == "layered_dag":
-        if args.width is None or args.depth is None:
-            raise ValueError("layered_dag needs --width and --depth")
-        return generators.layered_dag(args.width, args.depth, args.seed)
-    if args.n is None:
-        raise ValueError(f"{family} needs --n")
-    return getattr(generators, family)(args.n)
+    names = FAMILIES[args.family][0]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = " and ".join(f"--{name}" for name in names)
+        raise ValueError(f"{args.family} needs {flags}")
+    return _make_graph(args.family, values, args.seed)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    g = _generate(args)
-    out = _out_stream(args.out)
-    try:
-        out.write(serialize_edge_list(g))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write(args.out, serialize_edge_list(_generate(args)))
     return 0
 
 
@@ -126,10 +135,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     total = engine.report()
     sys.stdout.write(result.serialize())
-    sys.stdout.write("\n")
-    sys.stdout.write(total.as_kv_block())
-    sys.stdout.write(f"\nsync_steps_build={build.sync_steps}")
-    sys.stdout.write(f"\nsync_steps_traverse={total.sync_steps - build.sync_steps}\n")
+    sys.stdout.write(
+        f"\ntime_steps={total.time_steps}\nsync_steps={total.sync_steps}\n"
+        f"work={total.work}\nseq_steps={total.seq_steps}\n"
+        f"sync_steps_build={build.sync_steps}\n"
+        f"sync_steps_traverse={total.sync_steps - build.sync_steps}\n"
+    )
     return 0
 
 
@@ -167,17 +178,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bench_graph(family: str, token: str, seed: int) -> Graph:
-    if family == "gnm":
-        n_text, _, m_text = token.partition(":")
-        if not m_text:
-            raise ValueError(f"gnm size {token!r} should look like n:m")
-        return generators.gnm(int(n_text), int(m_text), seed)
-    if family == "layered_dag":
-        w_text, _, d_text = token.partition("x")
-        if not d_text:
-            raise ValueError(f"layered_dag size {token!r} should look like WIDTHxDEPTH")
-        return generators.layered_dag(int(w_text), int(d_text), seed)
-    return getattr(generators, family)(int(token))
+    _, sep, form = FAMILIES[family]
+    texts = [token]
+    if sep is not None:
+        first, _, second = token.partition(sep)
+        if not second:
+            raise ValueError(f"{family} size {token!r} should look like {form}")
+        texts = [first, second]
+    return _make_graph(family, [int(text) for text in texts], seed)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -206,14 +214,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     # work + seq_steps
                     "%.6f" % ((total.work + total.seq_steps) / total.time_steps),
                 ])
-    out = _out_stream(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
+    _write(args.out, text.getvalue())
     return 0
 
 
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--family",
         required=True,
-        choices=["gnm", "complete", "path", "star_out", "layered_dag", "sample9"],
+        choices=list(FAMILIES),
     )
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--family",
         required=True,
-        choices=["gnm", "complete", "path", "star_out", "layered_dag"],
+        choices=[family for family, (names, _, _) in FAMILIES.items() if names],
     )
     bench.add_argument(
         "--sizes",
@@ -293,10 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

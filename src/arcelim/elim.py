@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from .errors import AlreadyEliminated
 from .graph import Graph
@@ -74,9 +74,8 @@ class ElimGraph:
         self.parent: list[int | None] = [None] * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
-        self._lo = [0]  # first in-table slot of the current unlink block
-        # write log (None when not validating) -> unlink body, built on first use
-        self._unlink_bodies: dict[Optional[Callable], Callable[[range], None]] = {}
+        self._cell = [0, None]  # the current unlink block's first in-table slot and log
+        self._unlink: Callable[[range], None] | None = None  # built on first use
 
     @classmethod
     def build(cls, graph: Graph, engine: ParEngine | None = None,
@@ -98,7 +97,7 @@ class ElimGraph:
         eg = cls(graph)
         off, tgt, src, in_off, in_arc = eg.off, eg.tgt, eg.src, eg.in_off, eg.in_arc
         indeg, first, nxt, prv = eg.indeg, eg.first, eg.nxt, eg.prv
-        log = engine.log_write if engine.validate_writes else None
+        log = engine.log_write
 
         def init_body(r: range) -> None:
             for u in r:
@@ -136,28 +135,27 @@ class ElimGraph:
 
     # -- elimination ---------------------------------------------------------
 
-    def _unlink_body(self, log: Optional[Callable[[tuple], None]]) -> Callable[[range], None]:
-        """Build and cache the unlink body for ``log``; callers look it up in
-        ``_unlink_bodies`` first, so it is built once per search structure
-        and write log, not once per visit."""
+    def _unlink_body(self) -> Callable[[range], None]:
+        """Build the unlink body and keep it as ``self._unlink``, so it is
+        built once per search structure, not once per visit."""
         src, off, first, nxt, prv = self.src, self.off, self.first, self.nxt, self.prv
-        in_arc, cell = self.in_arc, self._lo
+        in_arc, cell = self.in_arc, self._cell
 
         def body(r: range) -> None:
             """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from
             its source's live list in O(1), logging each write when ``log``
-            is given.
+            is not None.
 
-            ``lo`` is the one-slot cell ``self._lo``, read once per chunk.
-            The driver writes it before it hands the block's chunks over and
-            not again until the join returns, so every chunk of a block
-            reads the block's own slot, on either backend.
+            ``lo`` and ``log`` are the two slots of ``self._cell``, read once
+            per chunk.  The driver writes both before it hands the block's
+            chunks over and not again until the join returns, so every chunk
+            of a block reads the block's own slot and log, on either backend.
 
             Raises AlreadyEliminated if the arc is not live: a live arc is
             pointed at by its predecessor (or by first), and unlink removes
             that one pointer, so liveness is an O(1) test.
             """
-            lo = cell[0]
+            lo, log = cell
             for a in in_arc[lo + r.start:lo + r.stop]:
                 u = src[a]
                 p = prv[a]
@@ -179,14 +177,14 @@ class ElimGraph:
                     if log is not None:
                         log(("prv", x))
 
-        self._unlink_bodies[log] = body
+        self._unlink = body
         return body
 
     def eliminate(self, arc: int) -> None:
         """Unlink one arc by id, outside any block (tests and tools)."""
         v = self.tgt[arc]
-        self._lo[0] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1])
-        (self._unlink_bodies.get(None) or self._unlink_body(None))(range(1))
+        self._cell[:] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1]), None
+        (self._unlink or self._unlink_body())(range(1))
         if self.monitor is not None:
             self.monitor.on_eliminate(arc)
 
@@ -198,11 +196,11 @@ class ElimGraph:
         even for indeg(v) == 0.  A monitor hears of each arc from the driver,
         after the block has joined.
         """
-        in_off = self.in_off
-        lo = self._lo[0] = in_off[v]
+        in_off, cell = self.in_off, self._cell
+        lo = cell[0] = in_off[v]
         hi = in_off[v + 1]
-        log = engine.log_write if engine.validate_writes else None
-        engine.par_for(hi - lo, self._unlink_bodies.get(log) or self._unlink_body(log))
+        cell[1] = engine.log_write
+        engine.par_for(hi - lo, self._unlink or self._unlink_body())
         monitor = self.monitor
         if monitor is not None:
             for a in self.in_arc[lo:hi]:

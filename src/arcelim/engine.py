@@ -39,9 +39,9 @@ c * k.  Block sizes do not depend on p, so one run gives the counted cost
 at every processor count.
 
 An optional validation mode records every location mutated within a block
-(bodies report them via ``log_write``) and fails the block on any duplicate,
-enforcing the exclusive-write contract.  Only the threaded backend locks
-the log.
+and fails the block on any duplicate, enforcing the exclusive-write
+contract.  Bodies report locations to ``log_write``, which is None unless
+the engine validates; only the threaded backend locks the log.
 """
 from __future__ import annotations
 
@@ -53,8 +53,6 @@ from .errors import DisjointWriteViolation
 
 SIMULATED = "simulated"
 THREADED = "threaded"
-
-CSV_FIELDS = ("time_steps", "sync_steps", "work", "seq_steps")
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,6 @@ class CostReport:
             self.work - other.work,
             self.seq_steps - other.seq_steps,
         )
-
-    def as_kv_block(self) -> str:
-        """Flat key=value serialization, one counter per line."""
-        return "\n".join(f"{name}={getattr(self, name)}" for name in CSV_FIELDS)
 
 
 class ParEngine:
@@ -101,7 +95,9 @@ class ParEngine:
         self._pool: _WorkerPool | None = None
         self._write_log: list[tuple] = []
         self._log_lock = threading.Lock()
-        if backend == SIMULATED:
+        if not validate_writes:
+            self.log_write = None
+        elif backend == SIMULATED:
             # every body runs on the calling thread: append without the lock
             self.log_write = self._write_log.append
 
@@ -154,7 +150,7 @@ class ParEngine:
     # -- write validation ----------------------------------------------------
 
     def log_write(self, cell: tuple) -> None:
-        """Record one mutated location of the current block (validation mode)."""
+        """Record one mutated location of the current block (threaded validation)."""
         with self._log_lock:
             self._write_log.append(cell)
 

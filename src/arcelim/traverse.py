@@ -225,14 +225,13 @@ def verify_against_oracle(
     kind: str,
     processors: int = 1,
     backend: str = SIMULATED,
-    monitor=None,
 ) -> MatchReport:
     """Run the arc-elimination driver and the sequential reference from s
     (both numbering from 0) and report field-by-field equality."""
     if kind not in KINDS:
         raise ValueError(f"unknown traversal kind {kind!r}")
     with ParEngine(processors, backend=backend) as engine:
-        eg = ElimGraph.build(g, engine, monitor=monitor)
+        eg = ElimGraph.build(g, engine)
         if kind == DFS:
             got = dfs(eg, s, 0, engine)
             want = seq_dfs(g, s, 0)

@@ -57,6 +57,28 @@ class TestGen:
         assert main(["gen", "--family", "layered_dag", "--width", "3"]) == 2
         assert "depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,given,message", [
+        ("gnm", ["--n", "5"], "gnm needs --n and --m"),
+        ("gnm", ["--m", "5"], "gnm needs --n and --m"),
+        ("path", [], "path needs --n"),
+        ("complete", ["--m", "3"], "complete needs --n"),
+        ("star_out", ["--width", "3"], "star_out needs --n"),
+    ])
+    def test_family_needs_its_parameters(self, capsys, family, given, message):
+        assert main(["gen", "--family", family] + given) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--family", "path", "--n", "4"],
+        ["bench", "--family", "path", "--sizes", "6", "--procs", "1"],
+    ], ids=["gen", "bench"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "out.txt"
+        assert main(command + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(target) in captured.err
+
     def test_gnm_too_many_arcs_is_input_error(self, capsys):
         assert main(["gen", "--family", "gnm", "--n", "3", "--m", "99"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -278,6 +300,15 @@ class TestBench:
         assert rec["mode"] == "threaded"
         assert int(rec["wall_nanos"]) > 0
 
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        args = ["bench", "--family", "layered_dag", "--sizes", "4x3", "--procs", "1,2"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "bench.csv"
+        assert main(args + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode()
+
     def test_bad_size_token_is_input_error(self, capsys):
         assert main(
             ["bench", "--family", "gnm", "--sizes", "32", "--procs", "1"]
@@ -298,3 +329,12 @@ class TestParsing:
 
     def test_unknown_kind_in_verify_list(self, sample_file, capsys):
         assert main(["verify", sample_file, "--kinds", "dfs,astar"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_empty_kinds_list_rejected(self, sample_file, capsys, command):
+        args = {"verify": ["verify", sample_file],
+                "bench": ["bench", "--family", "path", "--sizes", "6"]}[command]
+        assert main(args + ["--kinds", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --kinds must name at least one kind\n"

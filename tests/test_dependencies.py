@@ -35,3 +35,16 @@ def test_only_the_engine_imports_threading():
         if "threading" in {name.partition(".")[0] for name in absolute_imports(path)}
     )
     assert importers == ["engine.py"]
+
+
+def test_only_the_engine_reads_validate_writes():
+    """Bodies get ``engine.log_write``, None unless validating; no other
+    module asks the engine whether it validates."""
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "validate_writes"
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"engine.py"}

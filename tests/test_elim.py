@@ -260,8 +260,29 @@ SAMPLE_BFS_CELLS = [
 
 
 class TestUnlinkBody:
-    """One unlink body per search structure and write log, reused by every
-    visit; its checks and its logged cells are those of a body per visit."""
+    """One unlink body per search structure, reused by every visit and by
+    ``eliminate``; its checks and its logged cells are those of a body per
+    visit."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_one_body_for_eliminate_and_a_validating_visit(self, backend, monkeypatch):
+        built = []
+        real = ElimGraph._unlink_body
+
+        def counted(self, *args):
+            built.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(ElimGraph, "_unlink_body", counted)
+        with RecordingEngine(3, backend=backend, validate_writes=True) as eng:
+            eg = ElimGraph.build(sample9(), eng)
+            eg.eliminate(eg.in_arc[eg.in_off[3]])
+            eg.eliminate_incoming(5, eng)
+            logged = list(eng._write_log)
+            eg.eliminate(eg.in_arc[eg.in_off[7]])
+        assert built == [eg]
+        # the visit logged its cells; eliminate, outside any block, logs none
+        assert eng.cells[-1] and eng._write_log == logged
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     @pytest.mark.parametrize("validate_writes", [False, True])

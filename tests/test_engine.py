@@ -179,6 +179,15 @@ class TestChunkContract:
 
 
 class TestWriteValidation:
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_log_write_is_none_unless_validating(self, backend):
+        """Bodies test ``log is not None`` and never ask the engine whether
+        it validates."""
+        with ParEngine(2, backend=backend) as eng:
+            assert eng.log_write is None
+        with ParEngine(2, backend=backend, validate_writes=True) as eng:
+            assert callable(eng.log_write)
+
     def test_disjoint_writes_pass(self):
         cells = [0] * 10
         with ParEngine(2, validate_writes=True) as eng:
@@ -358,7 +367,3 @@ class TestCostReport:
         a = CostReport(10, 3, 20, 5)
         b = CostReport(4, 1, 8, 2)
         assert a - b == CostReport(6, 2, 12, 3)
-
-    def test_kv_block_format(self):
-        text = CostReport(5, 2, 9, 1).as_kv_block()
-        assert text == "time_steps=5\nsync_steps=2\nwork=9\nseq_steps=1"
