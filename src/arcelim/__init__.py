@@ -8,7 +8,7 @@ costs exactly k synchronization steps and O(m/p + k) metered time.
 Results are identical for every processor count and backend, and equal
 to the sequential textbook procedures in oracle.py.
 """
-from .elim import NIL, ElimGraph
+from .elim import ElimGraph
 from .engine import SIMULATED, THREADED, CostReport, ParEngine
 from .errors import (
     AlreadyEliminated,
@@ -69,7 +69,6 @@ __all__ = [
     "InvariantViolation",
     "KINDS",
     "MatchReport",
-    "NIL",
     "PARANOID",
     "ParEngine",
     "SAMPLE9",

@@ -38,12 +38,12 @@ CSV_COLUMNS = (
 )
 
 # family -> gen's flags for its integer parameters, then the separator and
-# form of a bench --sizes token that names two; those families take the seed
+# form of a bench --sizes token; the families with two parameters take the seed
 FAMILIES = {
     "gnm": (("n", "m"), ":", "n:m"),
-    "complete": (("n",), None, None),
-    "path": (("n",), None, None),
-    "star_out": (("n",), None, None),
+    "complete": (("n",), None, "n"),
+    "path": (("n",), None, "n"),
+    "star_out": (("n",), None, "n"),
     "layered_dag": (("width", "depth"), "x", "WIDTHxDEPTH"),
     "sample9": ((), None, None),
 }
@@ -178,14 +178,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _bench_graph(family: str, token: str, seed: int) -> Graph:
-    _, sep, form = FAMILIES[family]
-    texts = [token]
-    if sep is not None:
-        first, _, second = token.partition(sep)
-        if not second:
-            raise ValueError(f"{family} size {token!r} should look like {form}")
-        texts = [first, second]
-    return _make_graph(family, [int(text) for text in texts], seed)
+    names, sep, form = FAMILIES[family]
+    try:
+        values = [int(text) for text in (token.split(sep) if sep else [token])]
+    except ValueError:
+        values = []
+    if len(values) != len(names):
+        raise ValueError(f"--sizes expects {form} for {family}, got {token!r}")
+    return _make_graph(family, values, seed)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

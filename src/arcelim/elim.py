@@ -8,16 +8,18 @@ arrays indexed by arc id or vertex id (compressed sparse rows):
 
 * ``off`` (n+1) and ``tgt`` (m): u's out-list is ``tgt[off[u]:off[u+1]]``,
   so ``a - off[u]`` is arc a's slot in its source's list;
-* ``src`` (m): the source of each arc;
 * ``in_off`` (n+1) and ``in_arc`` (m): the in-table, v's incoming arc ids
   ``in_arc[in_off[v]:in_off[v+1]]`` ordered by source id;
-* ``nxt``/``prv`` (m) and ``first`` (n): a doubly linked live list threaded
-  over each out-list, giving O(1) unlink of any arc.
+* ``nxt``/``prv`` (m+n): a circular doubly linked live list threaded over
+  each out-list, giving O(1) unlink of any arc.  Entries below m belong to
+  arcs; entry ``m + u`` is u's head node, which is never unlinked.
 
 The out-lists themselves are never modified; a removed arc is only linked
-out.  ``off[u+1]`` is the end sentinel of u's list, so ``first[u] ==
-off[u+1]`` means u's live list is exhausted; ``prv`` holds -1 (NIL) at the
-head of a list.
+out.  u's live arcs are ``nxt[m+u], nxt[nxt[m+u]], ...`` up to the first
+id >= m, which is the head node itself; so ``nxt[m+u] >= m`` means u's
+live list is exhausted, and a fresh empty list's head links to itself.
+Every live node is pointed at by its predecessor, so arc a is live exactly
+when ``nxt[prv[a]] == a``.
 
 The core invariant, established by every visit and relied on by both
 drivers: a visited vertex has no live incoming arc, so following the first
@@ -26,6 +28,7 @@ live arc of any list always discovers an unvisited vertex.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable
 
@@ -36,8 +39,13 @@ if TYPE_CHECKING:
     from .engine import ParEngine
     from .instrument import InvariantMonitor
 
-NIL = -1
 ID = "i"  # array typecode of arc and vertex ids
+
+
+def arc_slot(off: array, a: int) -> tuple[int, int]:
+    """Arc a as (source, slot in the source's list), found from ``off``."""
+    u = bisect_right(off, a) - 1
+    return u, a - off[u]
 
 
 class ElimGraph:
@@ -47,27 +55,25 @@ class ElimGraph:
     driver; block bodies write pairwise-disjoint locations.  Within one
     visit's block this holds structurally: the incoming arcs of a vertex
     come from pairwise-distinct sources (simple digraph), and unlinking an
-    arc touches only its own list's first/nxt/prv entries, one arc per
-    source list per block.
+    arc touches only its own list's nxt/prv entries, one arc per source
+    list per block.
     """
 
     def __init__(self, graph: Graph):
         # untimed pre-pass: CSR out-lists, in-table offsets from the
         # in-degree counts, and zeroed state arrays
         n, m = graph.num_vertices, graph.num_arcs
-        self.graph = graph
         self.n = n
+        self.m = m
         self.off = array(ID, accumulate(map(len, graph.out_lists), initial=0))
         self.tgt = array(ID, chain.from_iterable(graph.out_lists))
         counts = [0] * n
         for v in self.tgt:
             counts[v] += 1
         self.in_off = array(ID, accumulate(counts, initial=0))
-        self.src = array(ID, [0]) * m
         self.in_arc = array(ID, [0]) * m
-        self.nxt = array(ID, [0]) * m
-        self.prv = array(ID, [0]) * m
-        self.first = array(ID, [0]) * n
+        self.nxt = array(ID, [0]) * (m + n)
+        self.prv = array(ID, [0]) * (m + n)
         self.indeg = array(ID, [0]) * n
         self.traversal: list[int | None] = [None] * n
         self.distance: list[int | None] = [None] * n
@@ -95,21 +101,24 @@ class ElimGraph:
         if engine is None:
             engine = ParEngine()
         eg = cls(graph)
-        off, tgt, src, in_off, in_arc = eg.off, eg.tgt, eg.src, eg.in_off, eg.in_arc
-        indeg, first, nxt, prv = eg.indeg, eg.first, eg.nxt, eg.prv
+        m, off, tgt, in_off, in_arc = eg.m, eg.off, eg.tgt, eg.in_off, eg.in_arc
+        indeg, nxt, prv = eg.indeg, eg.nxt, eg.prv
         log = engine.log_write
 
         def init_body(r: range) -> None:
-            for u in r:
+            s, e = r.start, r.stop
+            for u, lo, hi in zip(r, off[s:e], off[s + 1:e + 1]):
+                h = m + u
                 indeg[u] = 0
-                first[u] = off[u]
+                nxt[h] = lo if lo < hi else h
+                prv[h] = hi - 1 if lo < hi else h
                 if log is not None:
                     log(("indeg", u))
-                    log(("first", u))
+                    log(("head", u))  # nxt and prv of u's head node
 
         engine.par_for(eg.n, init_body)
 
-        u = lo = 0  # the block's source vertex and its first arc id
+        h = lo = end = 0  # the block's head node, first arc id and one past its last
 
         def arc_body(r: range) -> None:
             for i in r:
@@ -118,16 +127,15 @@ class ElimGraph:
                 d = indeg[v]
                 in_arc[in_off[v] + d] = a
                 indeg[v] = d + 1
-                src[a] = u
-                nxt[a] = a + 1
-                prv[a] = a - 1 if i else NIL
+                x = a + 1
+                nxt[a] = x if x != end else h
+                prv[a] = a - 1 if i else h
                 if log is not None:
                     log(("in", v))  # in_arc slot and indeg of v
-                    log(("arc", a))  # src, nxt and prv of a
+                    log(("arc", a))  # nxt and prv of a
 
-        for u in range(eg.n):
-            lo = off[u]
-            engine.par_for(off[u + 1] - lo, arc_body)
+        for h, lo, end in zip(range(m, m + eg.n), off, off[1:]):
+            engine.par_for(end - lo, arc_body)
 
         if monitor is not None:
             monitor.attach(eg)
@@ -138,8 +146,7 @@ class ElimGraph:
     def _unlink_body(self) -> Callable[[range], None]:
         """Build the unlink body and keep it as ``self._unlink``, so it is
         built once per search structure, not once per visit."""
-        src, off, first, nxt, prv = self.src, self.off, self.first, self.nxt, self.prv
-        in_arc, cell = self.in_arc, self._cell
+        off, nxt, prv, in_arc, cell = self.off, self.nxt, self.prv, self.in_arc, self._cell
 
         def body(r: range) -> None:
             """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from
@@ -152,30 +159,20 @@ class ElimGraph:
             of a block reads the block's own slot and log, on either backend.
 
             Raises AlreadyEliminated if the arc is not live: a live arc is
-            pointed at by its predecessor (or by first), and unlink removes
-            that one pointer, so liveness is an O(1) test.
+            pointed at by its predecessor, and unlink removes that one
+            pointer, so liveness is an O(1) test.
             """
             lo, log = cell
             for a in in_arc[lo + r.start:lo + r.stop]:
-                u = src[a]
                 p = prv[a]
                 x = nxt[a]
-                if p == NIL:
-                    if first[u] != a:
-                        raise AlreadyEliminated(u, a - off[u])
-                    first[u] = x
-                    if log is not None:
-                        log(("first", u))
-                else:
-                    if nxt[p] != a:
-                        raise AlreadyEliminated(u, a - off[u])
-                    nxt[p] = x
-                    if log is not None:
-                        log(("nxt", p))
-                if x < off[u + 1]:
-                    prv[x] = p
-                    if log is not None:
-                        log(("prv", x))
+                if nxt[p] != a:
+                    raise AlreadyEliminated(*arc_slot(off, a))
+                nxt[p] = x
+                prv[x] = p
+                if log is not None:
+                    log(("nxt", p))
+                    log(("prv", x))
 
         self._unlink = body
         return body
@@ -210,19 +207,17 @@ class ElimGraph:
 
     def first_live_target(self, u: int) -> int | None:
         """Target of u's first live arc, or None if the list is exhausted."""
-        a = self.first[u]
-        if a < self.off[u + 1]:
-            return self.tgt[a]
-        return None
+        a = self.nxt[self.m + u]
+        return self.tgt[a] if a < self.m else None
 
     def live_arcs(self, u: int) -> list[int]:
         """Ids of u's live arcs, in list order."""
+        m, nxt = self.m, self.nxt
         arcs = []
-        a = self.first[u]
-        end = self.off[u + 1]
-        while a < end:
+        a = nxt[m + u]
+        while a < m:
             arcs.append(a)
-            a = self.nxt[a]
+            a = nxt[a]
         return arcs
 
     def live_targets(self, u: int) -> list[int]:
@@ -230,13 +225,15 @@ class ElimGraph:
 
     def dump(self) -> str:
         """Deterministic per-vertex state dump, for golden tests; ``first``
-        is given as a slot of the vertex's list."""
+        is the slot of the vertex's first live arc, or its out-degree once
+        the list is exhausted."""
         lines = []
         for u in range(self.n):
-            live = ",".join(str(t) for t in self.live_targets(u))
-            first = self.first[u] - self.off[u]
+            arcs = self.live_arcs(u)
+            live = ",".join(str(self.tgt[a]) for a in arcs)
+            first = (arcs[0] if arcs else self.off[u + 1]) - self.off[u]
             lines.append(f"{u}: live=[{live}] first={first} indeg={self.indeg[u]}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return f"ElimGraph(n={self.n}, m={self.graph.num_arcs})"
+        return f"ElimGraph(n={self.n}, m={self.m})"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .elim import NIL, ElimGraph
+from .elim import ElimGraph, arc_slot
 from .errors import InvariantViolation
 
 COUNTERS = "counters"
@@ -66,18 +66,16 @@ class InvariantMonitor:
     def on_eliminate(self, arc: int) -> None:
         """One arc unlinked by the block that just joined.  The liveness
         test is the unlink body's own: a live arc is pointed at by its
-        predecessor's nxt, or by first at the head of its list."""
+        predecessor's nxt."""
         eg = self.eg
-        u = eg.src[arc]
         if self._eliminated[arc]:
             raise InvariantViolation(
-                f"arc (source {u}, slot {arc - eg.off[u]}) eliminated twice"
+                "arc (source %d, slot %d) eliminated twice" % arc_slot(eg.off, arc)
             )
-        p = eg.prv[arc]
-        if (eg.first[u] if p == NIL else eg.nxt[p]) == arc:
+        if eg.nxt[eg.prv[arc]] == arc:
             raise InvariantViolation(
-                f"arc (source {u}, slot {arc - eg.off[u]}) reported eliminated "
-                "but still linked"
+                "arc (source %d, slot %d) reported eliminated but still linked"
+                % arc_slot(eg.off, arc)
             )
         self._eliminated[arc] = 1
         self._live_in[eg.tgt[arc]] -= 1
@@ -135,30 +133,30 @@ class InvariantMonitor:
     # -- structural audit ------------------------------------------------------
 
     def verify_structure(self) -> None:
-        """Re-walk every live chain and cross-check links, flags, and counts.
+        """Walk every live circle from its head node; cross-check links, flags, counts.
 
-        Checks, per vertex: strictly increasing chain ending at the list's
-        end sentinel, prv mirroring nxt with NIL at the head, chain
+        Checks, per vertex: strictly increasing arcs from the head node back
+        to it, prv mirroring nxt at every node the head included, chain
         membership equal to the not-yet-eliminated flags, live-in counts
         matching the chains, and no live arc targeting a visited vertex.
-        Messages name arcs by their slot in the source's list.
+        Messages name arcs by their slot in the source's list, the head -1.
         """
         eg = self.eg
         self.stats["structural_scans"] += 1
         live_in = [0] * eg.n
-        trav, off, tgt, nxt, prv = eg.traversal, eg.off, eg.tgt, eg.nxt, eg.prv
+        trav, off, tgt, nxt, prv, m = eg.traversal, eg.off, eg.tgt, eg.nxt, eg.prv, eg.m
         flags = self._eliminated
         live = bytearray(len(tgt))
-        lo = 0
+        lo = h = 0
 
         def slot(a: int) -> int:
-            return NIL if a == NIL else a - lo
+            return -1 if a == h else a - lo
 
         for u in range(eg.n):
-            lo, hi = off[u], off[u + 1]
+            lo, hi, h = off[u], off[u + 1], m + u
             chain = []
-            a = eg.first[u]
-            prev = NIL
+            prev = h
+            a = nxt[h]
             while a < hi:
                 if a <= (chain[-1] if chain else lo - 1):
                     raise InvariantViolation(f"vertex {u}: chain not increasing at {slot(a)}")
@@ -170,9 +168,13 @@ class InvariantMonitor:
                 live[a] = 1
                 prev = a
                 a = nxt[a]
-            if a != hi:
+            if a != h:
                 raise InvariantViolation(
                     f"vertex {u}: chain ends at {slot(a)}, not outdeg {hi - lo}"
+                )
+            if prv[h] != prev:
+                raise InvariantViolation(
+                    f"vertex {u}: prv[{slot(h)}]={slot(prv[h])}, expected {slot(prev)}"
                 )
             for a in range(lo, hi):
                 if live[a] and flags[a]:

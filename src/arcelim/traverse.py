@@ -55,15 +55,15 @@ def _visit(eg: ElimGraph, v: int, parent: Optional[int], number: int, level: int
 
 
 def _dfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
-    first, off, tgt = eg.first, eg.off, eg.tgt
+    m, nxt, tgt = eg.m, eg.nxt, eg.tgt
     number = _visit(eg, s, None, number, 0, engine, trace)
     ticks = 1  # the visit of s
     stack = [s]
     while stack:
         v = stack[-1]
         ticks += 1  # the "any live arc left?" test at v
-        a = first[v]
-        if a == off[v + 1]:
+        a = nxt[m + v]
+        if a >= m:
             stack.pop()
             continue
         w = tgt[a]
@@ -77,7 +77,7 @@ def _dfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[
 
 def _bfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[Trace]) -> int:
     monitor = eg.monitor
-    first, off, tgt, distance = eg.first, eg.off, eg.tgt, eg.distance
+    m, nxt, tgt, distance = eg.m, eg.nxt, eg.tgt, eg.distance
     level = 0
     distance[s] = 0
     number = _visit(eg, s, None, number, 0, engine, trace)
@@ -95,8 +95,8 @@ def _bfs(eg: ElimGraph, s: int, number: int, engine: ParEngine, trace: Optional[
             ticks += 1  # dequeue
             while True:
                 ticks += 1  # the "any live arc left?" test at u
-                a = first[u]
-                if a == off[u + 1]:
+                a = nxt[m + u]
+                if a >= m:
                     break
                 v = tgt[a]
                 distance[v] = level

@@ -315,6 +315,17 @@ class TestBench:
         ) == 2
         assert "n:m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,token,form", [
+        ("path", "abc", "n"),
+        ("gnm", "3:4:5", "n:m"),
+        ("layered_dag", "4xq", "WIDTHxDEPTH"),
+    ])
+    def test_non_integer_size_token_names_the_form(self, capsys, family, token, form):
+        assert main(["bench", "--family", family, "--sizes", token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sizes expects {form} for {family}, got {token!r}\n"
+
 
 class TestParsing:
     def test_no_args_usage_error(self, capsys):

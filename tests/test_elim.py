@@ -1,10 +1,10 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcelim import (
-    NIL,
     AlreadyEliminated,
     BFS,
     DFS,
@@ -32,9 +32,11 @@ def brute_force_in_tables(g):
 
 
 def in_table(eg, v):
-    """v's in-table as (source, slot) pairs, read through the arc ids."""
+    """v's in-table as (source, slot) pairs, each arc's source found from
+    ``off``."""
     arcs = eg.in_arc[eg.in_off[v]:eg.in_off[v + 1]]
-    return [(eg.src[a], a - eg.off[eg.src[a]]) for a in arcs]
+    sources = [bisect_right(eg.off, a) - 1 for a in arcs]
+    return [(u, a - eg.off[u]) for u, a in zip(sources, arcs)]
 
 
 def arcs_of(eg, u):
@@ -54,12 +56,13 @@ class TestBuild:
 
     def test_fresh_links(self):
         eg = ElimGraph.build(sample9())
+        assert not arcs_of(eg, 6)  # the sink: its head node links to itself
         for u in range(eg.n):
             arcs = arcs_of(eg, u)
-            assert eg.first[u] == arcs.start
-            assert [eg.nxt[a] for a in arcs] == [a + 1 for a in arcs]
-            assert [eg.prv[a] for a in arcs] == ([NIL] + list(arcs)[:-1])[:len(arcs)]
-            assert [eg.src[a] for a in arcs] == [u] * len(arcs)
+            # one circle per vertex: head node, the arcs in order, head node
+            circle = [eg.m + u, *arcs, eg.m + u]
+            assert [eg.nxt[a] for a in circle[:-1]] == circle[1:]
+            assert [eg.prv[a] for a in circle[1:]] == circle[:-1]
             assert eg.traversal[u] is None
             assert eg.distance[u] is None
             assert eg.parent[u] is None
@@ -112,7 +115,7 @@ class TestBuild:
         with ParEngine(p, backend=backend, validate_writes=True) as eng:
             eg = ElimGraph.build(sample9(), eng)
         assert eg.dump() == base.dump()
-        for name in ("in_off", "in_arc", "src", "nxt", "prv", "first", "indeg"):
+        for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
             assert getattr(eg, name) == getattr(base, name)
 
 
@@ -130,14 +133,14 @@ class TestEliminate:
         a0, a1, a2, _ = arcs_of(eg, 0)
         eg.eliminate(a1)
         eg.eliminate(a0)
-        assert eg.first[0] == a2
+        assert eg.nxt[eg.m] == a2
         assert eg.live_targets(0) == [3, 4]
-        assert eg.prv[a2] == NIL
+        assert eg.prv[a2] == eg.m
 
     def test_exhausting_one_arc_list(self):
         eg = ElimGraph.build(Graph.from_adjacency([[1], []]))
         eg.eliminate(0)
-        assert eg.first[0] == 1 == eg.off[1]
+        assert eg.nxt[eg.m] == eg.m == eg.prv[eg.m]
         assert eg.first_live_target(0) is None
 
     def test_out_array_unchanged(self):
@@ -186,7 +189,7 @@ class TestEliminateIncoming:
         with ParEngine(2) as eng:
             eg.eliminate_incoming(0, eng)
         assert eng.report().sync_steps == 1
-        assert eg.first[1] == eg.off[1]  # target 0 is slot 1 of 1's list [5,0]
+        assert eg.nxt[eg.m + 1] == eg.off[1]  # target 0 is slot 1 of 1's list [5,0]
         assert eg.live_targets(1) == [5]
         assert eg.live_targets(2) == [5, 3, 6]
         assert eg.live_targets(3) == [6, 5]
@@ -205,7 +208,7 @@ class TestEliminateIncoming:
         eg = ElimGraph.build(Graph.from_adjacency([[0]]))
         with ParEngine(1) as eng:
             eg.eliminate_incoming(0, eng)
-        assert eg.first[0] == 1 == eg.off[1]
+        assert eg.nxt[eg.m] == eg.m == eg.prv[eg.m]
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     def test_write_validation_accepts_legal_blocks(self, backend):
@@ -232,30 +235,36 @@ class RecordingEngine(ParEngine):
             self.cells.append(list(self._write_log))
 
 
-# the cells each visit's block logs in validation mode, one list per visit
+# the cells each visit's block logs in validation mode, one list per visit:
+# each arc writes its predecessor's nxt and its successor's prv, and sample9
+# has m = 24 arcs, so ids 24-32 are the head nodes of vertices 0-8
 SAMPLE_DFS_CELLS = [
-    [("nxt", 4), ("nxt", 8), ("nxt", 11), ("first", 4), ("prv", 14)],
-    [("first", 0), ("prv", 1), ("nxt", 18)],
-    [("first", 1), ("first", 2), ("prv", 7), ("nxt", 10)],
-    [("first", 5), ("prv", 17)],
-    [("first", 7), ("prv", 21)],
-    [("nxt", 2), ("first", 8), ("prv", 23)],
-    [("nxt", 1), ("first", 2), ("prv", 8), ("first", 4), ("prv", 15), ("first", 5),
-     ("prv", 18), ("first", 8)],
-    [("first", 2), ("first", 3), ("first", 4), ("first", 7)],
-    [("first", 0), ("first", 5)],
+    [("nxt", 4), ("prv", 25), ("nxt", 8), ("prv", 26), ("nxt", 11), ("prv", 27),
+     ("nxt", 28), ("prv", 14)],
+    [("nxt", 24), ("prv", 1), ("nxt", 18), ("prv", 29)],
+    [("nxt", 25), ("prv", 25), ("nxt", 26), ("prv", 7), ("nxt", 10), ("prv", 27)],
+    [("nxt", 29), ("prv", 17)],
+    [("nxt", 31), ("prv", 21)],
+    [("nxt", 2), ("prv", 24), ("nxt", 32), ("prv", 23)],
+    [("nxt", 1), ("prv", 24), ("nxt", 26), ("prv", 8), ("nxt", 28), ("prv", 15),
+     ("nxt", 29), ("prv", 18), ("nxt", 32), ("prv", 32)],
+    [("nxt", 26), ("prv", 26), ("nxt", 27), ("prv", 27), ("nxt", 28), ("prv", 28),
+     ("nxt", 31), ("prv", 31)],
+    [("nxt", 24), ("prv", 24), ("nxt", 29), ("prv", 29)],
 ]
 SAMPLE_BFS_CELLS = [
-    [("nxt", 4), ("nxt", 8), ("nxt", 11), ("first", 4), ("prv", 14)],
-    [("first", 0), ("prv", 1), ("nxt", 18)],
-    [("first", 0), ("prv", 2), ("nxt", 17)],
-    [("first", 0), ("prv", 3), ("nxt", 6), ("prv", 8), ("first", 4), ("prv", 15),
-     ("nxt", 16), ("nxt", 22)],
-    [("first", 0), ("first", 8)],
-    [("first", 1), ("first", 2), ("prv", 8), ("nxt", 10)],
-    [("first", 2), ("first", 3), ("first", 4), ("nxt", 20)],
-    [("first", 5)],
-    [("first", 7)],
+    [("nxt", 4), ("prv", 25), ("nxt", 8), ("prv", 26), ("nxt", 11), ("prv", 27),
+     ("nxt", 28), ("prv", 14)],
+    [("nxt", 24), ("prv", 1), ("nxt", 18), ("prv", 29)],
+    [("nxt", 24), ("prv", 2), ("nxt", 17), ("prv", 29)],
+    [("nxt", 24), ("prv", 3), ("nxt", 6), ("prv", 8), ("nxt", 28), ("prv", 15),
+     ("nxt", 16), ("prv", 29), ("nxt", 22), ("prv", 32)],
+    [("nxt", 24), ("prv", 24), ("nxt", 32), ("prv", 32)],
+    [("nxt", 25), ("prv", 25), ("nxt", 26), ("prv", 8), ("nxt", 10), ("prv", 27)],
+    [("nxt", 26), ("prv", 26), ("nxt", 27), ("prv", 27), ("nxt", 28), ("prv", 28),
+     ("nxt", 20), ("prv", 31)],
+    [("nxt", 29), ("prv", 29)],
+    [("nxt", 31), ("prv", 31)],
 ]
 
 
@@ -301,7 +310,7 @@ class TestUnlinkBody:
         assert all(body is visits[0] for body in visits)
 
     # vertex 3's in-arcs sit inside their source lists and vertex 5's first
-    # two head theirs, so both liveness tests (nxt and first) are exercised
+    # two head theirs, so the liveness test reads both arc and head-node nxt
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     @pytest.mark.parametrize("validate_writes", [False, True])
     @pytest.mark.parametrize("v", [3, 5])
@@ -364,7 +373,7 @@ class TestInspection:
         assert len(arcs) == 3
         assert eg.indeg[3] == 5
         assert [eg.tgt[a] for a in arcs] == [6, 5, 0]
-        assert eg.first[3] == arcs.start
+        assert eg.nxt[eg.m + 3] == arcs.start
         assert eg.traversal[3] is None
 
     def test_dump_golden(self):
@@ -391,3 +400,21 @@ class TestStructuralIntegrity:
         for a in arcs[: len(arcs) // 2]:
             eg.eliminate(a)
             monitor.verify_structure()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_liveness_test_holds_exactly_for_live_arcs(self, seed):
+        """``nxt[prv[a]] == a``, the unlink body's test, is true for every arc
+        not yet eliminated and false for every eliminated one, after each
+        step of a random elimination order."""
+        rng = random.Random(seed)
+        n = rng.randrange(1, 16)
+        g = gnm(n, rng.randrange(0, min(4 * n, n * (n - 1)) + 1), seed)
+        eg = ElimGraph.build(g)
+        order = list(range(g.num_arcs))
+        rng.shuffle(order)
+        live = set(order)
+        for a in order:
+            eg.eliminate(a)
+            live.discard(a)
+            assert {b for b in range(g.num_arcs) if eg.nxt[eg.prv[b]] == b} == live

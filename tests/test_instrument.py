@@ -68,7 +68,8 @@ class TestViolationsCaught:
 
     @pytest.mark.parametrize("slot", [0, 1, 3])
     def test_report_of_a_still_linked_arc(self, slot):
-        # slot 0 is pointed at by first, the others by their predecessor's nxt
+        # slot 0 is pointed at by the head node's nxt, the others by their
+        # predecessor's nxt
         monitor, eg = attached()
         with pytest.raises(
             InvariantViolation,
@@ -90,8 +91,8 @@ class TestViolationsCaught:
     def test_structural_scan_sees_vanished_slot(self):
         monitor, eg = attached()
         # unlink by hand without telling the monitor
-        eg.first[0] = eg.off[0] + 1
-        eg.prv[eg.off[0] + 1] = -1
+        eg.nxt[eg.m] = eg.off[0] + 1
+        eg.prv[eg.off[0] + 1] = eg.m
         with pytest.raises(InvariantViolation, match="slot 0 vanished"):
             monitor.verify_structure()
 
@@ -107,12 +108,25 @@ class TestViolationsCaught:
         with pytest.raises(InvariantViolation, match="not increasing at 0"):
             monitor.verify_structure()
 
+    @pytest.mark.parametrize("eliminated", [0, 4])
+    def test_head_node_prv_mismatch(self, eliminated):
+        # the head node's prv must name the list's last live arc, or the head
+        # itself once vertex 0's four-arc list is empty
+        monitor, eg = attached()
+        for a in range(eg.off[0], eg.off[0] + eliminated):
+            eg.eliminate(a)
+        eg.prv[eg.m] = eg.off[0] + 1
+        expected = 3 if eliminated == 0 else -1
+        with pytest.raises(InvariantViolation,
+                           match=rf"vertex 0: prv\[-1\]=1, expected {expected}$"):
+            monitor.verify_structure()
+
     def test_finish_sees_surviving_arc_into_visited(self):
         monitor, eg = attached()
         dfs(eg, 0)
         # re-link an arc into the visited vertex 3 after the fact
-        eg.first[0] = eg.off[0] + 2
-        eg.prv[eg.off[0] + 2] = -1
+        eg.nxt[eg.m] = eg.off[0] + 2
+        eg.prv[eg.off[0] + 2] = eg.m
         monitor._live_in[3] += 1
         with pytest.raises(InvariantViolation):
             monitor.verify_structure()
