@@ -1,8 +1,8 @@
 """arcelim: ordered parallel DFS and BFS by arc elimination.
 
-Build an immutable Graph, derive the linked search structure with
-ElimGraph.build, and traverse it with dfs or bfs on a ParEngine.  Every
-visit eliminates the fresh vertex's incoming arcs in one parallel block,
+Build an immutable Graph, derive the linked search structure on a
+ParEngine with ElimGraph(graph, engine), and traverse it with dfs or bfs.
+Every visit eliminates the fresh vertex's incoming arcs in one parallel block,
 so the drivers never rescan dead arcs: a traversal visiting k vertices
 costs exactly k synchronization steps and O(m/p + k) metered time.
 Results are identical for every processor count and backend, and equal

@@ -32,11 +32,11 @@ from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable
 
+from .engine import ParEngine
 from .errors import AlreadyEliminated
 from .graph import Graph
 
 if TYPE_CHECKING:
-    from .engine import ParEngine
     from .instrument import InvariantMonitor
 
 ID = "i"  # array typecode of arc and vertex ids
@@ -59,33 +59,8 @@ class ElimGraph:
     list per block.
     """
 
-    def __init__(self, graph: Graph):
-        # untimed pre-pass: CSR out-lists, in-table offsets from the
-        # in-degree counts, and zeroed state arrays
-        n, m = graph.num_vertices, graph.num_arcs
-        self.n = n
-        self.m = m
-        self.off = array(ID, accumulate(map(len, graph.out_lists), initial=0))
-        self.tgt = array(ID, chain.from_iterable(graph.out_lists))
-        counts = [0] * n
-        for v in self.tgt:
-            counts[v] += 1
-        self.in_off = array(ID, accumulate(counts, initial=0))
-        self.in_arc = array(ID, [0]) * m
-        self.nxt = array(ID, [0]) * (m + n)
-        self.prv = array(ID, [0]) * (m + n)
-        self.indeg = array(ID, [0]) * n
-        self.traversal: list[int | None] = [None] * n
-        self.distance: list[int | None] = [None] * n
-        self.parent: list[int | None] = [None] * n
-        self.monitor: InvariantMonitor | None = None
-        self._traversed = False
-        self._cell = [0, None]  # the current unlink block's first in-table slot and log
-        self._unlink: Callable[[range], None] | None = None  # built on first use
-
-    @classmethod
-    def build(cls, graph: Graph, engine: ParEngine | None = None,
-              monitor: InvariantMonitor | None = None) -> ElimGraph:
+    def __init__(self, graph: Graph, engine: ParEngine | None = None,
+                 monitor: InvariantMonitor | None = None):
         """Construct the search structure: one init block, then one block
         per vertex filling incoming-arc tables and list links.
 
@@ -95,14 +70,33 @@ class ElimGraph:
         Costs exactly n+1 synchronization steps and
         ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps; the arrays are
         sized by an untimed pre-pass, so the timed phase never reallocates.
+        ``monitor``, if given, watches this structure from then on.
         """
-        from .engine import ParEngine
-
         if engine is None:
             engine = ParEngine()
-        eg = cls(graph)
-        m, off, tgt, in_off, in_arc = eg.m, eg.off, eg.tgt, eg.in_off, eg.in_arc
-        indeg, nxt, prv = eg.indeg, eg.nxt, eg.prv
+        # untimed pre-pass: CSR out-lists, in-table offsets from the
+        # in-degree counts, and zeroed state arrays
+        n, m = graph.num_vertices, graph.num_arcs
+        self.n = n
+        self.m = m
+        self.off = off = array(ID, accumulate(map(len, graph.out_lists), initial=0))
+        self.tgt = tgt = array(ID, chain.from_iterable(graph.out_lists))
+        counts = [0] * n
+        for v in tgt:
+            counts[v] += 1
+        self.in_off = in_off = array(ID, accumulate(counts, initial=0))
+        del counts
+        self.in_arc = in_arc = array(ID, [0]) * m
+        self.nxt = nxt = array(ID, [0]) * (m + n)
+        self.prv = prv = array(ID, [0]) * (m + n)
+        self.indeg = indeg = array(ID, [0]) * n
+        self.traversal: list[int | None] = [None] * n
+        self.distance: list[int | None] = [None] * n
+        self.parent: list[int | None] = [None] * n
+        self.monitor: InvariantMonitor | None = None
+        self._traversed = False
+        self._cell = [0, None]  # the current unlink block's first in-table slot and log
+        self._unlink: Callable[[range], None] | None = None  # built on first use
         log = engine.log_write
 
         def init_body(r: range) -> None:
@@ -116,7 +110,7 @@ class ElimGraph:
                     log(("indeg", u))
                     log(("head", u))  # nxt and prv of u's head node
 
-        engine.par_for(eg.n, init_body)
+        engine.par_for(n, init_body)
 
         h = lo = end = 0  # the block's head node, first arc id and one past its last
 
@@ -134,12 +128,17 @@ class ElimGraph:
                     log(("in", v))  # in_arc slot and indeg of v
                     log(("arc", a))  # nxt and prv of a
 
-        for h, lo, end in zip(range(m, m + eg.n), off, off[1:]):
+        for h, lo, end in zip(range(m, m + n), off, off[1:]):
             engine.par_for(end - lo, arc_body)
 
         if monitor is not None:
-            monitor.attach(eg)
-        return eg
+            monitor.attach(self)
+
+    @classmethod
+    def build(cls, graph: Graph, engine: ParEngine | None = None,
+              monitor: InvariantMonitor | None = None) -> ElimGraph:
+        """The same as ``ElimGraph(graph, engine, monitor)``."""
+        return cls(graph, engine, monitor)
 
     # -- elimination ---------------------------------------------------------
 

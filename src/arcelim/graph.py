@@ -6,10 +6,11 @@ children in exactly this order, so two graphs with equal arc sets but
 different adjacency order are different inputs.
 
 Vertices are the integers 0..n-1.  Only simple digraphs are accepted (at
-most one arc per (source, target) pair); self-loops are allowed.  The
-duplicate ban is load-bearing: downstream, each parallel block writes one
-incoming-arc table entry per distinct target and unlinks at most one slot
-per source list, and both guarantees break on repeated arcs.
+most one arc per (source, target) pair), and the constructor checks this;
+self-loops are allowed.  The duplicate ban is load-bearing: downstream,
+each parallel block writes one incoming-arc table entry per distinct
+target and unlinks at most one slot per source list, and both guarantees
+break on repeated arcs.
 """
 from __future__ import annotations
 
@@ -20,18 +21,11 @@ from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSynt
 
 
 class Graph:
-    """Immutable digraph over vertices 0..n-1 with ordered adjacency arrays."""
+    """Immutable, validated digraph over vertices 0..n-1 with ordered adjacency arrays."""
 
     __slots__ = ("out_lists", "num_vertices", "num_arcs")
 
-    def __init__(self, out_lists: tuple[tuple[int, ...], ...]):
-        # not validated here; go through from_adjacency / parse_edge_list
-        self.out_lists = out_lists
-        self.num_vertices = len(out_lists)
-        self.num_arcs = sum(len(ts) for ts in out_lists)
-
-    @classmethod
-    def from_adjacency(cls, lists: Iterable[Sequence[int]]) -> Graph:
+    def __init__(self, lists: Iterable[Sequence[int]]):
         """Build and validate a graph from per-vertex target sequences.
 
         Adjacency order is preserved exactly as given.  Raises
@@ -51,7 +45,14 @@ class Graph:
             for slot, t in enumerate(targets):
                 if not 0 <= t < n:
                     raise TargetOutOfRange(u, slot, t, n)
-        return cls(out_lists)
+        self.out_lists = out_lists
+        self.num_vertices = n
+        self.num_arcs = sum(len(ts) for ts in out_lists)
+
+    @classmethod
+    def from_adjacency(cls, lists: Iterable[Sequence[int]]) -> Graph:
+        """The same as ``Graph(lists)``."""
+        return cls(lists)
 
     def outdegree(self, u: int) -> int:
         return len(self.out_lists[u])

@@ -12,9 +12,9 @@ The monitor watches an ElimGraph during a traversal and fails fast on:
 Two levels trade cost for directness:
 
 * ``counters``: O(1) bookkeeping per elimination.  Exact per-target live
-  counts give the after-every-visit check; a full structural audit runs
-  once at finish(), verifying that the link chains agree with the
-  bookkeeping.  Cheap enough for large randomized sweeps.
+  counts give the after-every-visit check; finish() is one structural
+  audit, verifying that the link chains agree with the bookkeeping.
+  Cheap enough for large randomized sweeps.
 * ``paranoid``: additionally re-walks every live chain after every visit
   and checks the level-queue properties of breadth-first runs (members of
   the current queue share one distance; no live arc connects two members
@@ -25,8 +25,10 @@ visit's elimination block has joined, the driver reports the block's arcs
 one by one, and the monitor checks that each is unlinked.  A step that was
 charged but never ran is therefore caught at that visit, not at finish().
 
-Violations raise InvariantViolation immediately.  The ``stats`` dict counts
-how many checks actually ran, so callers can assert the monitor was live.
+One monitor watches one structure: pass a fresh InvariantMonitor to each
+build.  Violations raise InvariantViolation immediately.  The ``stats``
+dict counts how many checks actually ran, so callers can assert the
+monitor was live.
 """
 from __future__ import annotations
 
@@ -55,7 +57,10 @@ class InvariantMonitor:
         }
 
     def attach(self, eg: ElimGraph) -> None:
-        """Watch ``eg``, which has just been built."""
+        """Watch ``eg``, which has just been built; ValueError if already watching one."""
+        if self.eg is not None:
+            raise ValueError("this monitor already watches a search structure; "
+                             "pass a fresh monitor to each build")
         self.eg = eg
         eg.monitor = self
         self._live_in = list(eg.indeg)
@@ -117,18 +122,8 @@ class InvariantMonitor:
                     )
 
     def finish(self) -> None:
-        """End-of-traversal structural audit (all levels)."""
+        """End-of-traversal structural audit (all levels): verify_structure()."""
         self.verify_structure()
-        eg = self.eg
-        off, tgt, flags = eg.off, eg.tgt, self._eliminated
-        visited = [eg.traversal[v] is not None for v in range(eg.n)]
-        for u in range(eg.n):
-            for a in range(off[u], off[u + 1]):
-                t = tgt[a]
-                if visited[t] and not flags[a]:
-                    raise InvariantViolation(
-                        f"arc {u}->{t} (slot {a - off[u]}) still present although {t} was visited"
-                    )
 
     # -- structural audit ------------------------------------------------------
 
@@ -169,8 +164,10 @@ class InvariantMonitor:
                 prev = a
                 a = nxt[a]
             if a != h:
+                went = ("arc (source %d, slot %d)" % arc_slot(off, a) if a < m
+                        else f"the head node of vertex {a - m}")
                 raise InvariantViolation(
-                    f"vertex {u}: chain ends at {slot(a)}, not outdeg {hi - lo}"
+                    f"vertex {u}: chain ends at {went}, not at its own head node -1"
                 )
             if prv[h] != prev:
                 raise InvariantViolation(

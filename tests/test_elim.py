@@ -19,6 +19,7 @@ from arcelim import (
     dfs,
     gnm,
     sample9,
+    seq_dfs,
     sweep,
 )
 
@@ -114,6 +115,13 @@ class TestBuild:
         base = ElimGraph.build(sample9())
         with ParEngine(p, backend=backend, validate_writes=True) as eng:
             eg = ElimGraph.build(sample9(), eng)
+        # the constructor is the build: same arrays, same counted cost
+        with ParEngine(p, backend=backend, validate_writes=True) as direct_eng:
+            direct = ElimGraph(sample9(), direct_eng)
+        for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
+            assert getattr(direct, name) == getattr(eg, name)
+        assert direct_eng.report() == eng.report()
+        assert dfs(ElimGraph(sample9()), 0) == seq_dfs(sample9(), 0)
         assert eg.dump() == base.dump()
         for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
             assert getattr(eg, name) == getattr(base, name)

@@ -73,12 +73,18 @@ class TestFromAdjacency:
         """Arbitrary input either becomes a valid Graph or a typed error."""
         try:
             g = Graph.from_adjacency(lists)
-        except GraphError:
+        except GraphError as err:
+            # the constructor is the same check: same type, same fields
+            with pytest.raises(type(err)) as exc:
+                Graph(lists)
+            assert vars(exc.value) == vars(err)
+            assert str(exc.value) == str(err)
             return
         for u in range(g.num_vertices):
             row = g.targets(u)
             assert len(set(row)) == len(row)
             assert all(0 <= t < g.num_vertices for t in row)
+        assert Graph(lists) == g
 
 
 class TestOutdegree:
@@ -177,6 +183,9 @@ class TestGraphObject:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Graph.from_adjacency([[], []])
+        c = Graph([[1], []])  # the constructor stores tuples, as from_adjacency does
+        assert c == a
+        assert hash(c) == hash(a)
 
     def test_arcs_iteration(self):
         g = Graph.from_adjacency([[2, 1], [], [0]])

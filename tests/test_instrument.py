@@ -47,6 +47,14 @@ class TestCleanRuns:
         dfs(eg, 0)
         assert monitor.stats["structural_scans"] == 1
 
+    def test_one_monitor_watches_one_structure(self):
+        monitor, eg = attached()
+        with pytest.raises(ValueError, match="pass a fresh monitor to each build"):
+            ElimGraph.build(path(30), monitor=monitor)
+        assert monitor.eg is eg
+        dfs(eg, 0)
+        assert monitor.stats["visit_checks"] == 9
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             InvariantMonitor("relaxed")
@@ -120,6 +128,17 @@ class TestViolationsCaught:
         with pytest.raises(InvariantViolation,
                            match=rf"vertex 0: prv\[-1\]=1, expected {expected}$"):
             monitor.verify_structure()
+
+    @pytest.mark.parametrize("target, went", [
+        (4, "arc (source 1, slot 0)"),  # vertex 1's first arc
+        (25, "the head node of vertex 1"),  # m + 1, with m = 24
+    ])
+    def test_chain_end_outside_its_list(self, target, went):
+        monitor, eg = attached()
+        eg.nxt[eg.off[0] + 3] = target  # vertex 0's last arc leaves its list
+        with pytest.raises(InvariantViolation) as exc:
+            monitor.verify_structure()
+        assert str(exc.value) == f"vertex 0: chain ends at {went}, not at its own head node -1"
 
     def test_finish_sees_surviving_arc_into_visited(self):
         monitor, eg = attached()
