@@ -20,6 +20,7 @@ from .errors import (
     GraphError,
     InvalidStart,
     InvariantViolation,
+    TargetNotInteger,
     TargetOutOfRange,
     TooManyArcs,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "SAMPLE9",
     "SIMULATED",
     "THREADED",
+    "TargetNotInteger",
     "TargetOutOfRange",
     "TooManyArcs",
     "TraversalResult",

@@ -7,7 +7,9 @@ global id, source-major in adjacency order, and the state lives in flat
 arrays indexed by arc id or vertex id (compressed sparse rows):
 
 * ``off`` (n+1) and ``tgt`` (m): u's out-list is ``tgt[off[u]:off[u+1]]``,
-  so ``a - off[u]`` is arc a's slot in its source's list;
+  so ``a - off[u]`` is arc a's slot in its source's list.  Both belong to
+  the Graph and are shared, never copied: every structure built over one
+  graph reads the same two arrays, and none writes to them;
 * ``in_off`` (n+1) and ``in_arc`` (m): the in-table, v's incoming arc ids
   ``in_arc[in_off[v]:in_off[v+1]]`` ordered by source id;
 * ``nxt``/``prv`` (m+n): a circular doubly linked live list threaded over
@@ -29,17 +31,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable
 
 from .engine import ParEngine
 from .errors import AlreadyEliminated
-from .graph import Graph
+from .graph import ID, Graph
 
 if TYPE_CHECKING:
     from .instrument import InvariantMonitor
-
-ID = "i"  # array typecode of arc and vertex ids
 
 
 def arc_slot(off: array, a: int) -> tuple[int, int]:
@@ -70,17 +70,21 @@ class ElimGraph:
         Costs exactly n+1 synchronization steps and
         ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps; the arrays are
         sized by an untimed pre-pass, so the timed phase never reallocates.
-        ``monitor``, if given, watches this structure from then on.
+        ``monitor``, if given, watches this structure from then on; one
+        that already watches another raises ValueError before any block
+        is charged to ``engine``.
         """
+        if monitor is not None:
+            monitor.check_unattached()
         if engine is None:
             engine = ParEngine()
-        # untimed pre-pass: CSR out-lists, in-table offsets from the
-        # in-degree counts, and zeroed state arrays
+        # untimed pre-pass: in-table offsets from the in-degree counts and
+        # zeroed state arrays; the out-lists are the graph's own arrays
         n, m = graph.num_vertices, graph.num_arcs
         self.n = n
         self.m = m
-        self.off = off = array(ID, accumulate(map(len, graph.out_lists), initial=0))
-        self.tgt = tgt = array(ID, chain.from_iterable(graph.out_lists))
+        self.off = off = graph.off
+        self.tgt = tgt = graph.tgt
         counts = [0] * n
         for v in tgt:
             counts[v] += 1

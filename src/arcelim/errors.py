@@ -20,6 +20,16 @@ class TargetOutOfRange(GraphError):
         )
 
 
+class TargetNotInteger(GraphError):
+    """An adjacency entry is not an integer, so it names no vertex."""
+
+    def __init__(self, source: int, slot: int, target: object):
+        self.source = source
+        self.slot = slot
+        self.target = target
+        super().__init__(f"arc {source}->{target!r} (slot {slot}) has a non-integer target")
+
+
 class DuplicateArc(GraphError):
     """The same (source, target) arc appears more than once.
 

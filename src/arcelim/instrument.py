@@ -56,11 +56,16 @@ class InvariantMonitor:
             "level_checks": 0,
         }
 
-    def attach(self, eg: ElimGraph) -> None:
-        """Watch ``eg``, which has just been built; ValueError if already watching one."""
+    def check_unattached(self) -> None:
+        """ValueError if this monitor already watches a search structure;
+        a build calls it before its first block."""
         if self.eg is not None:
             raise ValueError("this monitor already watches a search structure; "
                              "pass a fresh monitor to each build")
+
+    def attach(self, eg: ElimGraph) -> None:
+        """Watch ``eg``, which has just been built; ValueError if already watching one."""
+        self.check_unattached()
         self.eg = eg
         eg.monitor = self
         self._live_in = list(eg.indeg)

@@ -36,7 +36,7 @@ class TraversalResult:
         distance: Sequence[Optional[int]],
         next_number: int,
     ) -> "TraversalResult":
-        visited = sum(1 for t in traversal if t is not None)
+        visited = len(traversal) - traversal.count(None)
         return cls(tuple(traversal), tuple(parent), tuple(distance), visited, next_number)
 
     def visited(self) -> list[int]:

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -125,6 +128,32 @@ class TestBuild:
         assert eg.dump() == base.dump()
         for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
             assert getattr(eg, name) == getattr(base, name)
+
+
+class TestSharedAdjacency:
+    """A search structure reads its graph's CSR arrays; it does not copy them."""
+
+    def test_off_and_tgt_are_the_graphs_own(self):
+        g = sample9()
+        first, second = ElimGraph(g), ElimGraph(g)
+        assert first.off is g.off and second.off is g.off
+        assert first.tgt is g.tgt and second.tgt is g.tgt
+
+    def test_build_allocates_only_its_own_state(self):
+        g = gnm(2000, 20000, seed=1)
+        ElimGraph(g)  # warm the caches and code paths the build touches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eg = ElimGraph(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        own = sum(sys.getsizeof(getattr(eg, name)) for name in
+                  ("in_off", "in_arc", "nxt", "prv", "indeg", "traversal", "distance", "parent"))
+        # a copy of the out-lists would add 4m + 4n = 88,000 bytes
+        assert own <= kept <= own + 4096
 
 
 class TestEliminate:

@@ -7,11 +7,15 @@ from arcelim import (
     EdgeListSyntaxError,
     Graph,
     GraphError,
+    TargetNotInteger,
     TargetOutOfRange,
     parse_edge_list,
     sample9,
     serialize_edge_list,
 )
+
+
+EXTREME_INTS = [2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**40, -2**40]
 
 
 def adjacency_lists(max_n=8):
@@ -52,6 +56,12 @@ class TestFromAdjacency:
         assert exc.value.source == 1
         assert exc.value.target == 2
 
+    @pytest.mark.parametrize("target", EXTREME_INTS)
+    def test_target_beyond_32_bits_out_of_range(self, target):
+        with pytest.raises(TargetOutOfRange) as exc:
+            Graph([[0], [1, target]])
+        assert (exc.value.source, exc.value.slot, exc.value.target) == (1, 1, target)
+
     def test_negative_target_rejected(self):
         with pytest.raises(TargetOutOfRange):
             Graph.from_adjacency([[-1]])
@@ -66,9 +76,28 @@ class TestFromAdjacency:
     def test_order_preserved(self, lists):
         g = Graph.from_adjacency(lists)
         assert [list(g.targets(u)) for u in range(g.num_vertices)] == lists
+        assert [g.tgt[g.off[u]:g.off[u + 1]].tolist() for u in range(g.num_vertices)] == lists
+        assert len(g.off) == g.num_vertices + 1
         assert g.num_arcs == sum(len(row) for row in lists)
 
-    @given(st.lists(st.lists(st.integers(-2, 9), max_size=6), min_size=0, max_size=6))
+    @pytest.mark.parametrize("lists, source, slot, target", [
+        ([[1.0], []], 0, 0, 1.0),
+        ([[1], [0, "1"]], 1, 1, "1"),
+        ([[1, None, 1], []], 0, 1, None),  # reported before the repeated 1
+    ])
+    def test_non_integer_target_rejected(self, lists, source, slot, target):
+        with pytest.raises(TargetNotInteger) as exc:
+            Graph(lists)
+        assert (exc.value.source, exc.value.slot, exc.value.target) == (source, slot, target)
+
+    def test_out_lists_hold_the_callers_int_objects(self):
+        # ints above 256 are not cached, so each of these is its own object
+        lists = [[int("1000"), int("1001")], [0]] + [[] for _ in range(1000)]
+        g = Graph(lists)
+        assert all(t is s for ts, row in zip(g.out_lists, lists) for t, s in zip(ts, row))
+
+    @given(st.lists(st.lists(st.integers(-2, 9) | st.sampled_from(EXTREME_INTS), max_size=6),
+                    min_size=0, max_size=6))
     def test_validation_total(self, lists):
         """Arbitrary input either becomes a valid Graph or a typed error."""
         try:

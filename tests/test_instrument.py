@@ -6,6 +6,7 @@ import pytest
 
 from arcelim import (
     COUNTERS,
+    CostReport,
     SIMULATED,
     THREADED,
     ElimGraph,
@@ -54,6 +55,14 @@ class TestCleanRuns:
         assert monitor.eg is eg
         dfs(eg, 0)
         assert monitor.stats["visit_checks"] == 9
+
+    def test_taken_monitor_fails_the_build_before_any_block(self):
+        monitor, _ = attached()
+        engine = ParEngine(1)
+        with pytest.raises(ValueError, match="pass a fresh monitor to each build"):
+            ElimGraph(path(30), engine, monitor)
+        assert engine.report() == CostReport()
+        assert engine.histogram == {}
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
