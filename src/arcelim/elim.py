@@ -32,7 +32,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .engine import ParEngine
 from .errors import AlreadyEliminated
@@ -99,8 +99,7 @@ class ElimGraph:
         self.parent: list[int | None] = [None] * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
-        self._cell = [0, None]  # the current unlink block's first in-table slot and log
-        self._unlink: Callable[[range], None] | None = None  # built on first use
+        self._cell = cell = [0, None]  # the current unlink block's first in-table slot and log
         log = engine.log_write
 
         def init_body(r: range) -> None:
@@ -135,23 +134,7 @@ class ElimGraph:
         for h, lo, end in zip(range(m, m + n), off, off[1:]):
             engine.par_for(end - lo, arc_body)
 
-        if monitor is not None:
-            monitor.attach(self)
-
-    @classmethod
-    def build(cls, graph: Graph, engine: ParEngine | None = None,
-              monitor: InvariantMonitor | None = None) -> ElimGraph:
-        """The same as ``ElimGraph(graph, engine, monitor)``."""
-        return cls(graph, engine, monitor)
-
-    # -- elimination ---------------------------------------------------------
-
-    def _unlink_body(self) -> Callable[[range], None]:
-        """Build the unlink body and keep it as ``self._unlink``, so it is
-        built once per search structure, not once per visit."""
-        off, nxt, prv, in_arc, cell = self.off, self.nxt, self.prv, self.in_arc, self._cell
-
-        def body(r: range) -> None:
+        def unlink_body(r: range) -> None:
             """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from
             its source's live list in O(1), logging each write when ``log``
             is not None.
@@ -177,14 +160,24 @@ class ElimGraph:
                     log(("nxt", p))
                     log(("prv", x))
 
-        self._unlink = body
-        return body
+        self._unlink = unlink_body  # for eliminate(arc) and every visit
+
+        if monitor is not None:
+            monitor.attach(self)
+
+    @classmethod
+    def build(cls, graph: Graph, engine: ParEngine | None = None,
+              monitor: InvariantMonitor | None = None) -> ElimGraph:
+        """The same as ``ElimGraph(graph, engine, monitor)``."""
+        return cls(graph, engine, monitor)
+
+    # -- elimination ---------------------------------------------------------
 
     def eliminate(self, arc: int) -> None:
         """Unlink one arc by id, outside any block (tests and tools)."""
         v = self.tgt[arc]
         self._cell[:] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1]), None
-        (self._unlink or self._unlink_body())(range(1))
+        self._unlink(range(1))
         if self.monitor is not None:
             self.monitor.on_eliminate(arc)
 
@@ -200,18 +193,13 @@ class ElimGraph:
         lo = cell[0] = in_off[v]
         hi = in_off[v + 1]
         cell[1] = engine.log_write
-        engine.par_for(hi - lo, self._unlink or self._unlink_body())
+        engine.par_for(hi - lo, self._unlink)
         monitor = self.monitor
         if monitor is not None:
             for a in self.in_arc[lo:hi]:
                 monitor.on_eliminate(a)
 
     # -- queries -------------------------------------------------------------
-
-    def first_live_target(self, u: int) -> int | None:
-        """Target of u's first live arc, or None if the list is exhausted."""
-        a = self.nxt[self.m + u]
-        return self.tgt[a] if a < self.m else None
 
     def live_arcs(self, u: int) -> list[int]:
         """Ids of u's live arcs, in list order."""
@@ -225,18 +213,6 @@ class ElimGraph:
 
     def live_targets(self, u: int) -> list[int]:
         return [self.tgt[a] for a in self.live_arcs(u)]
-
-    def dump(self) -> str:
-        """Deterministic per-vertex state dump, for golden tests; ``first``
-        is the slot of the vertex's first live arc, or its out-degree once
-        the list is exhausted."""
-        lines = []
-        for u in range(self.n):
-            arcs = self.live_arcs(u)
-            live = ",".join(str(self.tgt[a]) for a in arcs)
-            first = (arcs[0] if arcs else self.off[u + 1]) - self.off[u]
-            lines.append(f"{u}: live=[{live}] first={first} indeg={self.indeg[u]}")
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"ElimGraph(n={self.n}, m={self.m})"

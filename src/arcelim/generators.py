@@ -29,7 +29,7 @@ SAMPLE9 = (
 
 def sample9() -> Graph:
     """The bundled 9-vertex, 24-arc demonstration graph."""
-    return Graph.from_adjacency(SAMPLE9)
+    return Graph(SAMPLE9)
 
 
 def _require_positive(name: str, value: int) -> None:
@@ -52,6 +52,8 @@ def gnm(n: int, m: int, seed: int) -> Graph:
     is the order in which arcs were drawn.  Average degree is exactly m/n.
     """
     _require_positive("n", n)
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
     limit = n * (n - 1)
     if m > limit:
         raise TooManyArcs(n, m, limit)
@@ -75,27 +77,25 @@ def gnm(n: int, m: int, seed: int) -> Graph:
             moved[j] = moved.get(i, i)
             u, v = _decode(k, n)
             lists[u].append(v)
-    return Graph.from_adjacency(lists)
+    return Graph(lists)
 
 
 def complete(n: int) -> Graph:
     """All n*(n-1) ordered pairs, each adjacency list ascending."""
     _require_positive("n", n)
-    return Graph.from_adjacency(
-        [[v for v in range(n) if v != u] for u in range(n)]
-    )
+    return Graph([[v for v in range(n) if v != u] for u in range(n)])
 
 
 def path(n: int) -> Graph:
     """The directed path 0 -> 1 -> ... -> n-1."""
     _require_positive("n", n)
-    return Graph.from_adjacency([[u + 1] for u in range(n - 1)] + [[]])
+    return Graph([[u + 1] for u in range(n - 1)] + [[]])
 
 
 def star_out(n: int) -> Graph:
     """Center 0 with arcs to every leaf 1..n-1, ascending."""
     _require_positive("n", n)
-    return Graph.from_adjacency([list(range(1, n))] + [[] for _ in range(n - 1)])
+    return Graph([list(range(1, n))] + [[] for _ in range(n - 1)])
 
 
 def layered_dag(width: int, depth: int, seed: int = 0) -> Graph:
@@ -119,4 +119,4 @@ def layered_dag(width: int, depth: int, seed: int = 0) -> Graph:
                 targets = list(range(base, base + width))
                 rng.shuffle(targets)
                 lists.append(targets)
-    return Graph.from_adjacency(lists)
+    return Graph(lists)

@@ -17,10 +17,11 @@ The same adjacency is held twice, and both are read-only:
 * ``out_lists``, a tuple of per-vertex target tuples holding the very int
   objects the caller passed in, for the sequential readers (the oracle,
   the serializer);
-* ``off`` (n+1) and ``tgt`` (m), compressed sparse rows as ``array('i')``:
-  u's targets are ``tgt[off[u]:off[u+1]]``, and arc ids are positions in
-  ``tgt``.  Every search structure built over the graph shares these two
-  arrays instead of copying them, so a caller must never write to them.
+* ``off`` (n+1) and ``tgt`` (m), compressed sparse rows as unsigned
+  ``array(ID)``, the one typecode of every stored vertex and arc id: u's
+  targets are ``tgt[off[u]:off[u+1]]``, and arc ids are positions in ``tgt``.
+  Every search structure built over the graph shares these two arrays
+  instead of copying them, so a caller must never write to them.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Iterable, NoReturn, Sequence
 from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSyntaxError,
                      TargetNotInteger, TargetOutOfRange, TargetOutOfRangeLine)
 
-ID = "i"  # array typecode of arc and vertex ids
+ID = "I"  # array typecode of arc and vertex ids
 
 
 class Graph:
@@ -45,29 +46,21 @@ class Graph:
 
         Adjacency order is preserved exactly as given.  Raises
         TargetNotInteger, TargetOutOfRange or DuplicateArc on invalid
-        input; no partially constructed graph escapes.  ``off`` and ``tgt``
-        are shared with every search structure built over the graph and
-        must be treated as read-only.
+        input; no partially constructed graph escapes.  Every search
+        structure shares ``off`` and ``tgt``: treat them as read-only.
         """
         out_lists = tuple(tuple(ts) for ts in lists)
         n = len(out_lists)
-        flat = _flatten(out_lists)
+        tgt = _flatten(out_lists)
         # only a failing input pays for the per-slot walk that finds and
         # names the first bad target
-        if flat is None or flat and max(flat) >= n:
+        if tgt is None or tgt and max(tgt) >= n:
             _reject(out_lists)
         self.out_lists = out_lists
         self.off = array(ID, accumulate(map(len, out_lists), initial=0))
-        # the same bits: every target is below n, so it fits the signed type
-        self.tgt = tgt = array(ID)
-        tgt.frombytes(memoryview(flat).cast("B"))
+        self.tgt = tgt
         self.num_vertices = n
-        self.num_arcs = len(flat)
-
-    @classmethod
-    def from_adjacency(cls, lists: Iterable[Sequence[int]]) -> Graph:
-        """The same as ``Graph(lists)``."""
-        return cls(lists)
+        self.num_arcs = len(tgt)
 
     def outdegree(self, u: int) -> int:
         return len(self.out_lists[u])
@@ -92,15 +85,16 @@ class Graph:
 
 
 def _flatten(out_lists: tuple) -> array | None:
-    """Every target in one ``array('I')``, source-major; None if a list
+    """Every target in one ``array(ID)``, source-major; None if a list
     holds a non-integer, a negative target, one beyond 32 bits or a
     repeated one.
 
     Each list is copied and checked for repeats in one step, while its int
-    objects are still in cache.  The unsigned type converts about twice as
-    fast as ``'i'`` and rejects a negative target by itself.
+    objects are still in cache.  Ids are never negative, so the unsigned
+    type rejects a negative target by itself, stores about twice as fast
+    as ``'i'``, and the array becomes the graph's ``tgt`` with no copy.
     """
-    flat = array("I")
+    flat = array(ID)
     extend = flat.extend
     try:
         for targets in out_lists:
@@ -182,7 +176,7 @@ def parse_edge_list(text: str) -> Graph:
     if seen != header[1]:
         raise CountMismatch(header[1], seen)
     try:
-        return Graph.from_adjacency(lists)
+        return Graph(lists)
     except DuplicateArc as err:
         at = [no for no, u, v in _arc_lines(text) if (u, v) == (err.source, err.target)]
         raise DuplicateArcLine(at[1], err.source, err.target) from None

@@ -90,7 +90,7 @@ def mask_graph(n, pairs, mask):
     for bit, (u, v) in enumerate(pairs):
         if mask >> bit & 1:
             lists[u].append(v)
-    return Graph.from_adjacency(lists)
+    return Graph(lists)
 
 
 @pytest.fixture(scope="module")

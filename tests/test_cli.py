@@ -83,6 +83,12 @@ class TestGen:
         assert main(["gen", "--family", "gnm", "--n", "3", "--m", "99"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_gnm_negative_m_is_input_error(self, capsys):
+        assert main(["gen", "--family", "gnm", "--n", "3", "--m", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m must be at least 0, got -1\n"
+
 
 class TestRun:
     def test_dfs_sample_dump_and_costs(self, sample_file, capsys):
@@ -308,6 +314,12 @@ class TestBench:
         assert main(args + ["--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_bytes() == stdout.encode()
+
+    def test_gnm_negative_m_is_input_error(self, capsys):
+        assert main(["bench", "--family", "gnm", "--sizes", "3:-1", "--procs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m must be at least 0, got -1\n"
 
     def test_bad_size_token_is_input_error(self, capsys):
         assert main(

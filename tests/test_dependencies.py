@@ -37,6 +37,20 @@ def test_only_the_engine_imports_threading():
     assert importers == ["engine.py"]
 
 
+def test_every_array_has_the_one_id_typecode():
+    """Vertex and arc ids live in arrays of one typecode: every ``array``
+    call names ``ID``, and none spells a typecode of its own."""
+    typecodes = [
+        (path.name, node.lineno, ast.unparse(node.args[0]) if node.args else None)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "array"
+    ]
+    assert typecodes, "no array call found; the scan is not reading the sources"
+    assert [call for call in typecodes if call[2] != "ID"] == []
+
+
 def test_only_the_engine_reads_validate_writes():
     """Bodies get ``engine.log_write``, None unless validating; no other
     module asks the engine whether it validates."""

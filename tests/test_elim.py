@@ -125,7 +125,6 @@ class TestBuild:
             assert getattr(direct, name) == getattr(eg, name)
         assert direct_eng.report() == eng.report()
         assert dfs(ElimGraph(sample9()), 0) == seq_dfs(sample9(), 0)
-        assert eg.dump() == base.dump()
         for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
             assert getattr(eg, name) == getattr(base, name)
 
@@ -175,10 +174,10 @@ class TestEliminate:
         assert eg.prv[a2] == eg.m
 
     def test_exhausting_one_arc_list(self):
-        eg = ElimGraph.build(Graph.from_adjacency([[1], []]))
+        eg = ElimGraph.build(Graph([[1], []]))
         eg.eliminate(0)
         assert eg.nxt[eg.m] == eg.m == eg.prv[eg.m]
-        assert eg.first_live_target(0) is None
+        assert eg.live_targets(0) == []
 
     def test_out_array_unchanged(self):
         eg = ElimGraph.build(sample9())
@@ -233,7 +232,7 @@ class TestEliminateIncoming:
         assert eg.live_targets(4) == [3, 6]
 
     def test_zero_indegree_still_synchronizes(self):
-        eg = ElimGraph.build(Graph.from_adjacency([[1], [], []]))
+        eg = ElimGraph.build(Graph([[1], [], []]))
         with ParEngine(4) as eng:
             eg.eliminate_incoming(2, eng)
         rep = eng.report()
@@ -242,7 +241,7 @@ class TestEliminateIncoming:
         assert eg.live_targets(0) == [1]
 
     def test_self_loop(self):
-        eg = ElimGraph.build(Graph.from_adjacency([[0]]))
+        eg = ElimGraph.build(Graph([[0]]))
         with ParEngine(1) as eng:
             eg.eliminate_incoming(0, eng)
         assert eg.nxt[eg.m] == eg.m == eg.prv[eg.m]
@@ -311,23 +310,19 @@ class TestUnlinkBody:
     visit."""
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
-    def test_one_body_for_eliminate_and_a_validating_visit(self, backend, monkeypatch):
-        built = []
-        real = ElimGraph._unlink_body
-
-        def counted(self, *args):
-            built.append(self)
-            return real(self, *args)
-
-        monkeypatch.setattr(ElimGraph, "_unlink_body", counted)
+    def test_one_body_for_eliminate_and_a_validating_visit(self, backend):
         with RecordingEngine(3, backend=backend, validate_writes=True) as eng:
             eg = ElimGraph.build(sample9(), eng)
+            built = len(eng.bodies)
             eg.eliminate(eg.in_arc[eg.in_off[3]])
             eg.eliminate_incoming(5, eng)
+            eg.eliminate_incoming(0, eng)
             logged = list(eng._write_log)
             eg.eliminate(eg.in_arc[eg.in_off[7]])
-        assert built == [eg]
-        # the visit logged its cells; eliminate, outside any block, logs none
+        # the constructor made the body, and no method is left to make it later
+        assert [body is eg._unlink for body in eng.bodies[built:]] == [True, True]
+        assert not hasattr(ElimGraph, "_unlink_body")
+        # the visits logged their cells; eliminate, outside any block, logs none
         assert eng.cells[-1] and eng._write_log == logged
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
@@ -391,16 +386,16 @@ class TestUnlinkBody:
 class TestFirstLiveTarget:
     def test_fresh_vertex5(self):
         eg = ElimGraph.build(sample9())
-        assert eg.first_live_target(5) == 7
+        assert eg.live_targets(5) == [7, 3, 2, 1]
 
     def test_after_eliminating_into_7(self):
         eg = ElimGraph.build(sample9())
         eg.eliminate_incoming(7, ParEngine())
-        assert eg.first_live_target(5) == 3
+        assert eg.live_targets(5) == [3, 2, 1]
 
     def test_exhausted_vertex(self):
-        eg = ElimGraph.build(Graph.from_adjacency([[]]))
-        assert eg.first_live_target(0) is None
+        eg = ElimGraph.build(Graph([[]]))
+        assert eg.live_targets(0) == []
 
 
 class TestInspection:
@@ -414,13 +409,12 @@ class TestInspection:
         assert eg.traversal[3] is None
 
     def test_dump_golden(self):
-        eg = ElimGraph.build(Graph.from_adjacency([[1, 2], [2], []]))
+        eg = ElimGraph.build(Graph([[1, 2], [2], []]))
         eg.eliminate(0)
-        assert eg.dump() == (
-            "0: live=[2] first=1 indeg=0\n"
-            "1: live=[2] first=0 indeg=1\n"
-            "2: live=[] first=0 indeg=2\n"
-        )
+        assert [eg.live_targets(u) for u in range(3)] == [[2], [2], []]
+        # slot of each live list's first arc; vertex 2's list is empty
+        assert [eg.live_arcs(u)[0] - eg.off[u] for u in range(2)] == [1, 0]
+        assert list(eg.indeg) == [0, 1, 2]
 
 
 class TestStructuralIntegrity:

@@ -42,6 +42,11 @@ class TestGnm:
         with pytest.raises(ValueError):
             gnm(0, 0, 0)
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match=r"^m must be at least 0, got -1$"):
+            gnm(3, -1, 0)
+        assert gnm(3, 0, 0).num_arcs == 0
+
     @given(st.integers(1, 40), st.integers(0, 10_000), st.data())
     @settings(max_examples=50, deadline=None)
     def test_exact_counts_no_self_loops(self, n, seed, data):

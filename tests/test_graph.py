@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from arcelim import (
     GraphError,
     TargetNotInteger,
     TargetOutOfRange,
+    gnm,
     parse_edge_list,
     sample9,
     serialize_edge_list,
@@ -32,7 +36,7 @@ def adjacency_lists(max_n=8):
 
 class TestFromAdjacency:
     def test_single_vertex_no_arcs(self):
-        g = Graph.from_adjacency([[]])
+        g = Graph([[]])
         assert g.num_vertices == 1
         assert g.num_arcs == 0
 
@@ -43,16 +47,16 @@ class TestFromAdjacency:
 
     def test_duplicate_arc_rejected(self):
         with pytest.raises(DuplicateArc) as exc:
-            Graph.from_adjacency([[1, 1]])
+            Graph([[1, 1]])
         assert (exc.value.source, exc.value.target) == (0, 1)
 
     def test_duplicate_not_adjacent_in_list(self):
         with pytest.raises(DuplicateArc):
-            Graph.from_adjacency([[1, 0, 1]])
+            Graph([[1, 0, 1]])
 
     def test_target_out_of_range(self):
         with pytest.raises(TargetOutOfRange) as exc:
-            Graph.from_adjacency([[0], [2]])
+            Graph([[0], [2]])
         assert exc.value.source == 1
         assert exc.value.target == 2
 
@@ -64,17 +68,17 @@ class TestFromAdjacency:
 
     def test_negative_target_rejected(self):
         with pytest.raises(TargetOutOfRange):
-            Graph.from_adjacency([[-1]])
+            Graph([[-1]])
 
     def test_self_loop_allowed_once(self):
-        g = Graph.from_adjacency([[0]])
+        g = Graph([[0]])
         assert g.num_arcs == 1
         with pytest.raises(DuplicateArc):
-            Graph.from_adjacency([[0, 0]])
+            Graph([[0, 0]])
 
     @given(adjacency_lists())
     def test_order_preserved(self, lists):
-        g = Graph.from_adjacency(lists)
+        g = Graph(lists)
         assert [list(g.targets(u)) for u in range(g.num_vertices)] == lists
         assert [g.tgt[g.off[u]:g.off[u + 1]].tolist() for u in range(g.num_vertices)] == lists
         assert len(g.off) == g.num_vertices + 1
@@ -101,7 +105,7 @@ class TestFromAdjacency:
     def test_validation_total(self, lists):
         """Arbitrary input either becomes a valid Graph or a typed error."""
         try:
-            g = Graph.from_adjacency(lists)
+            g = Graph(lists)
         except GraphError as err:
             # the constructor is the same check: same type, same fields
             with pytest.raises(type(err)) as exc:
@@ -123,7 +127,7 @@ class TestOutdegree:
         assert g.outdegree(6) == 0
 
     def test_single_vertex(self):
-        assert Graph.from_adjacency([[]]).outdegree(0) == 0
+        assert Graph([[]]).outdegree(0) == 0
 
 
 class TestParseEdgeList:
@@ -197,7 +201,7 @@ class TestSerialize:
 
     @given(adjacency_lists())
     def test_round_trip(self, lists):
-        g = Graph.from_adjacency(lists)
+        g = Graph(lists)
         assert parse_edge_list(serialize_edge_list(g)) == g
 
     def test_round_trip_sample(self):
@@ -207,15 +211,32 @@ class TestSerialize:
 
 class TestGraphObject:
     def test_equality_and_hash(self):
-        a = Graph.from_adjacency([[1], []])
+        a = Graph([[1], []])
         b = parse_edge_list("2 1\n0 1\n")
         assert a == b
         assert hash(a) == hash(b)
-        assert a != Graph.from_adjacency([[], []])
-        c = Graph([[1], []])  # the constructor stores tuples, as from_adjacency does
+        assert a != Graph([[], []])
+        c = Graph(iter([(1,), ()]))  # tuples from an iterator: the same graph
         assert c == a
         assert hash(c) == hash(a)
 
     def test_arcs_iteration(self):
-        g = Graph.from_adjacency([[2, 1], [], [0]])
+        g = Graph([[2, 1], [], [0]])
         assert list(g.arcs()) == [(0, 2), (0, 1), (2, 0)]
+
+
+class TestSetUpMemory:
+    def test_construction_makes_no_transient_copy(self):
+        """``Graph(lists)`` keeps the array it validates into as ``tgt``, so
+        its peak allocation is what it keeps: a second copy of the targets
+        would raise the peak by 4 bytes per arc."""
+        lists = [list(targets) for targets in gnm(2000, 20000, seed=1).out_lists]
+        Graph(lists)  # warm the caches and code paths the constructor touches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = Graph(lists)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - kept) / g.num_arcs <= 0.5

@@ -48,7 +48,7 @@ class TestSeqDfs:
         assert list(res.parent) == [None, 0, 1]
 
     def test_edgeless_from_2(self):
-        res = seq_dfs(Graph.from_adjacency([[], [], []]), 2)
+        res = seq_dfs(Graph([[], [], []]), 2)
         assert list(res.traversal) == [None, None, 0]
         assert res.visited_count == 1
 

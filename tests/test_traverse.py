@@ -119,7 +119,7 @@ class TestDfs:
         assert tree_edges(res) == SAMPLE_DFS_TREE
 
     def test_single_vertex(self):
-        res, _, _ = run(DFS, Graph.from_adjacency([[]]))
+        res, _, _ = run(DFS, Graph([[]]))
         assert list(res.traversal) == [0]
         assert res.next_number == 1
 
@@ -158,7 +158,7 @@ class TestBfs:
         assert tree_edges(res) == SAMPLE_BFS_TREE
 
     def test_single_vertex(self):
-        res, _, _ = run(BFS, Graph.from_adjacency([[]]))
+        res, _, _ = run(BFS, Graph([[]]))
         assert list(res.traversal) == [0]
         assert list(res.distance) == [0]
 
@@ -382,19 +382,19 @@ class TestOracleAgreement:
 
 class TestSweep:
     def test_forest_numbering_continuous(self):
-        g = Graph.from_adjacency([[1], [], [3], [], []])
+        g = Graph([[1], [], [3], [], []])
         res = sweep(ElimGraph.build(g), DFS)
         assert list(res.traversal) == [0, 1, 2, 3, 4]
         assert list(res.parent) == [None, 0, None, 2, None]
         assert res.next_number == 5
 
     def test_bfs_sweep_distances_per_component(self):
-        g = Graph.from_adjacency([[1], [], [3], [], []])
+        g = Graph([[1], [], [3], [], []])
         res = sweep(ElimGraph.build(g), BFS)
         assert list(res.distance) == [0, 1, 0, 1, 0]
 
     def test_restart_order_is_id_order(self):
-        g = Graph.from_adjacency([[], [0], [1]])
+        g = Graph([[], [0], [1]])
         res = sweep(ElimGraph.build(g), DFS)
         # 0 visited first, restart at 1 reaches nothing new, restart at 2
         assert list(res.traversal) == [0, 1, 2]
@@ -480,7 +480,7 @@ class TestTrace:
         ids=["bfs", "sweep-dfs", "sweep-bfs"],
     )
     def test_golden_trace(self, search, adjacency, want):
-        g = sample9() if adjacency is None else Graph.from_adjacency(adjacency)
+        g = sample9() if adjacency is None else Graph(adjacency)
         lines = []
         search(ElimGraph.build(g), lines.append)
         assert lines == want
