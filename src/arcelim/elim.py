@@ -26,6 +26,10 @@ when ``nxt[prv[a]] == a``.
 The core invariant, established by every visit and relied on by both
 drivers: a visited vertex has no live incoming arc, so following the first
 live arc of any list always discovers an unvisited vertex.
+
+In validation mode the bodies log each cell they write as one int,
+``6 * index + kind``, where ``CELLS[kind]`` names the cell; a violation is
+reported with the cell decoded to ``(name, index)``.
 """
 from __future__ import annotations
 
@@ -35,11 +39,25 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .engine import ParEngine
-from .errors import AlreadyEliminated
+from .errors import AlreadyEliminated, DisjointWriteViolation
 from .graph import ID, Graph
 
 if TYPE_CHECKING:
     from .instrument import InvariantMonitor
+
+
+# the kinds of cell a validating block logs, by the index they name: a
+# vertex's indeg (init), its head node's nxt and prv (init), its next in_arc
+# slot and indeg (build), an arc's nxt and prv (build), and one nxt or prv
+# entry (unlink)
+CELLS = ("indeg", "head", "in", "arc", "nxt", "prv")
+INDEG, HEAD, IN, ARC, NXT, PRV = range(len(CELLS))
+
+
+def cell_name(cell: int) -> tuple[str, int]:
+    """A logged cell ``6 * index + kind`` as ``(CELLS[kind], index)``."""
+    index, kind = divmod(cell, 6)
+    return CELLS[kind], index
 
 
 def arc_slot(off: array, a: int) -> tuple[int, int]:
@@ -110,10 +128,8 @@ class ElimGraph:
                 nxt[h] = lo if lo < hi else h
                 prv[h] = hi - 1 if lo < hi else h
                 if log is not None:
-                    log(("indeg", u))
-                    log(("head", u))  # nxt and prv of u's head node
-
-        engine.par_for(n, init_body)
+                    log(6 * u + INDEG)
+                    log(6 * u + HEAD)
 
         h = lo = end = 0  # the block's head node, first arc id and one past its last
 
@@ -128,11 +144,15 @@ class ElimGraph:
                 nxt[a] = x if x != end else h
                 prv[a] = a - 1 if i else h
                 if log is not None:
-                    log(("in", v))  # in_arc slot and indeg of v
-                    log(("arc", a))  # nxt and prv of a
+                    log(6 * v + IN)
+                    log(6 * a + ARC)
 
-        for h, lo, end in zip(range(m, m + n), off, off[1:]):
-            engine.par_for(end - lo, arc_body)
+        try:
+            engine.par_for(n, init_body)
+            for h, lo, end in zip(range(m, m + n), off, off[1:]):
+                engine.par_for(end - lo, arc_body)
+        except DisjointWriteViolation as exc:
+            raise DisjointWriteViolation(cell_name(exc.cell)) from None
 
         def unlink_body(r: range) -> None:
             """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from
@@ -157,8 +177,8 @@ class ElimGraph:
                 nxt[p] = x
                 prv[x] = p
                 if log is not None:
-                    log(("nxt", p))
-                    log(("prv", x))
+                    log(6 * p + NXT)
+                    log(6 * x + PRV)
 
         self._unlink = unlink_body  # for eliminate(arc) and every visit
 
@@ -193,7 +213,10 @@ class ElimGraph:
         lo = cell[0] = in_off[v]
         hi = in_off[v + 1]
         cell[1] = engine.log_write
-        engine.par_for(hi - lo, self._unlink)
+        try:
+            engine.par_for(hi - lo, self._unlink)
+        except DisjointWriteViolation as exc:
+            raise DisjointWriteViolation(cell_name(exc.cell)) from None
         monitor = self.monitor
         if monitor is not None:
             for a in self.in_arc[lo:hi]:

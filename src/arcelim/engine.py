@@ -41,18 +41,29 @@ at every processor count.
 An optional validation mode records every location mutated within a block
 and fails the block on any duplicate, enforcing the exclusive-write
 contract.  Bodies report locations to ``log_write``, which is None unless
-the engine validates; only the threaded backend locks the log.
+the engine validates and is otherwise the log's own ``list.append``, atomic
+on either backend; after the join only the driver reads the log.  A cell is
+any hashable value; the search structure logs one int per cell.  A log of
+fewer than 64 cells is checked with a set.  A longer one is sorted and
+scanned, which holds one pointer per cell where a set holds several; only
+cells that do not sort into a strictly rising sequence are hashed.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Callable
 
 from .errors import DisjointWriteViolation
 
 SIMULATED = "simulated"
 THREADED = "threaded"
+
+# the log length from which a block's writes are checked by sorting, not
+# hashing: a set is faster on the short logs of most blocks
+_SORTED_CHECK_FROM = 64
 
 
 @dataclass(frozen=True)
@@ -93,13 +104,8 @@ class ParEngine:
         self.histogram: dict[int, int] = {}  # block size -> blocks of that size
         self.seq_steps = 0
         self._pool: _WorkerPool | None = None
-        self._write_log: list[tuple] = []
-        self._log_lock = threading.Lock()
-        if not validate_writes:
-            self.log_write = None
-        elif backend == SIMULATED:
-            # every body runs on the calling thread: append without the lock
-            self.log_write = self._write_log.append
+        self._write_log: list = []
+        self.log_write = self._write_log.append if validate_writes else None
 
     # -- execution ----------------------------------------------------------
 
@@ -149,14 +155,21 @@ class ParEngine:
 
     # -- write validation ----------------------------------------------------
 
-    def log_write(self, cell: tuple) -> None:
-        """Record one mutated location of the current block (threaded validation)."""
-        with self._log_lock:
-            self._write_log.append(cell)
-
     def _check_block_writes(self) -> None:
+        """Raise DisjointWriteViolation on the first cell, in log order,
+        that the block logged twice."""
         log = self._write_log
-        if len(set(log)) == len(log):
+        if len(log) < _SORTED_CHECK_FROM:
+            clean = len(set(log)) == len(log)
+        else:
+            try:
+                cells = sorted(log)
+                # strictly rising cells are distinct; anything else, such as
+                # sets, which order only by inclusion, goes to the scan
+                clean = all(map(lt, cells, islice(cells, 1, None)))
+            except TypeError:  # cells that do not compare: the scan hashes them
+                clean = False
+        if clean:
             return
         seen = set()
         for cell in log:

@@ -11,6 +11,7 @@ from arcelim import (
     AlreadyEliminated,
     BFS,
     DFS,
+    DisjointWriteViolation,
     ElimGraph,
     Graph,
     InvariantMonitor,
@@ -21,10 +22,12 @@ from arcelim import (
     bfs,
     dfs,
     gnm,
+    path,
     sample9,
     seq_dfs,
     sweep,
 )
+from arcelim.elim import cell_name
 
 
 def brute_force_in_tables(g):
@@ -255,9 +258,62 @@ class TestEliminateIncoming:
                 eg.eliminate_incoming(v, eng)
 
 
+class TestWriteValidation:
+    """A violation in a search structure's block names the cell as
+    ``(name, index)``, and validating a solve costs no memory beyond an
+    unvalidated one's peak."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_violation_names_the_cell(self, backend):
+        """Vertex 2's in-table is forged to hold arcs 0 and 1, neighbours in
+        vertex 0's list: both unlinks write the nxt of 0's head node, m + 0.
+        At p=2 the driver's chunk, arc 0, runs first."""
+        with ParEngine(2, backend=backend, validate_writes=True) as eng:
+            eg = ElimGraph(Graph([[1, 2], [2], [0]]), eng)
+            lo = eg.in_off[2]
+            eg.in_arc[lo], eg.in_arc[lo + 1] = 0, 1
+            with pytest.raises(DisjointWriteViolation) as info:
+                eg.eliminate_incoming(2, eng)
+        assert info.value.cell == ("nxt", 4)
+        assert str(info.value) == "location ('nxt', 4) written twice within one parallel block"
+
+    def test_violation_in_the_build_names_the_cell(self):
+        """A graph whose shared ``tgt`` was overwritten to hold target 1
+        twice in vertex 0's list: both steps of 0's arc block fill a slot
+        of vertex 1's in-table."""
+        g = Graph([[1, 2], [], []])
+        g.tgt[1] = 1
+        with pytest.raises(DisjointWriteViolation) as info:
+            ElimGraph(g, ParEngine(validate_writes=True))
+        assert info.value.cell == ("in", 1)
+
+    def test_validating_solve_peaks_no_higher(self):
+        """The validating path(20000) bfs peaks in the init block, whose log
+        holds 2n cells: one int per cell, checked through a sorted copy
+        rather than a set, keeps it under the unvalidated solve's peak."""
+        g = path(20000)
+
+        def solve(validate):
+            with ParEngine(3, validate_writes=validate) as eng:
+                bfs(ElimGraph(g, eng), 0, 0, eng)
+
+        def peak(validate):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                solve(validate)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        solve(True)  # warm the caches and code paths the solve touches
+        assert peak(True) <= 1.1 * peak(False)
+
+
 class RecordingEngine(ParEngine):
     """Keeps every body passed to ``par_for`` and, in validation mode, the
-    cells each block logged."""
+    cells each block logged, decoded to ``(name, index)``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -268,7 +324,7 @@ class RecordingEngine(ParEngine):
         self.bodies.append(body)
         super().par_for(count, body)
         if self.validate_writes:
-            self.cells.append(list(self._write_log))
+            self.cells.append([cell_name(c) for c in self._write_log])
 
 
 # the cells each visit's block logs in validation mode, one list per visit:

@@ -212,6 +212,28 @@ class TestWriteValidation:
                 eng.par_for(9, each(lambda i: eng.log_write(("cell", i % 8))))
         assert info.value.cell == ("cell", 0)
 
+    def test_long_int_log_names_the_first_repeat(self):
+        """A log of 64 or more ints is checked by sorting; a violation still
+        names the first cell, in log order, that repeats, not the least."""
+        with ParEngine(3, validate_writes=True) as eng:
+            eng.par_for(95, each(lambda i: eng.log_write(i)))
+            with pytest.raises(DisjointWriteViolation) as info:
+                eng.par_for(100, each(lambda i: eng.log_write((99 - i) % 95)))
+        assert info.value.cell == 4
+
+    @pytest.mark.parametrize("cells", [
+        [frozenset({i}) for i in range(80)],  # ordered only by inclusion
+        [i if i % 2 else str(i) for i in range(80)],  # not ordered at all
+    ], ids=["sets", "mixed"])
+    def test_long_log_without_a_total_order_is_hashed(self, cells):
+        """A long log that does not sort strictly rising is hashed, so equal
+        cells that sorting leaves apart are still found."""
+        with ParEngine(3, validate_writes=True) as eng:
+            eng.par_for(80, each(lambda i: eng.log_write(cells[i])))
+            with pytest.raises(DisjointWriteViolation) as info:
+                eng.par_for(81, each(lambda i: eng.log_write(cells[(i + 1) % 80])))
+        assert info.value.cell == cells[1]
+
     def test_log_cleared_between_blocks(self):
         with ParEngine(2, validate_writes=True) as eng:
             eng.par_for(1, each(lambda i: eng.log_write(("cell",))))
