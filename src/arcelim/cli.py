@@ -2,13 +2,17 @@
 the sequential references, and emit cost-model benchmark tables.
 
 Exit codes are fixed for scripting: 0 success, 1 verification mismatch,
-2 bad input (unparsable file, invalid parameters, I/O failure).
+2 bad input (unparsable file, invalid parameters, I/O failure), 141 the
+reader of standard output closed it early, as in ``arcelim run ... | head``
+(the status a shell reports for a process ended by SIGPIPE); nothing is
+printed then.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,6 +24,8 @@ from .engine import SIMULATED, THREADED, ParEngine
 from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .traverse import BFS, DFS, KINDS, bfs, dfs, verify_against_oracle
+
+BROKEN_PIPE = 141
 
 CSV_COLUMNS = (
     "family",
@@ -293,14 +299,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on --help and on bad flags
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits on --help and on bad flags
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+    except BrokenPipeError:
+        # what is still buffered goes to the null device, so that the
+        # interpreter's flush at exit cannot fail on the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 from .engine import ParEngine
 from .errors import AlreadyEliminated, DisjointWriteViolation
 from .graph import ID, Graph
+from .result import ABSENT
 
 if TYPE_CHECKING:
     from .instrument import InvariantMonitor
@@ -112,9 +113,11 @@ class ElimGraph:
         self.nxt = nxt = array(ID, [0]) * (m + n)
         self.prv = prv = array(ID, [0]) * (m + n)
         self.indeg = indeg = array(ID, [0]) * n
-        self.traversal: list[int | None] = [None] * n
-        self.distance: list[int | None] = [None] * n
-        self.parent: list[int | None] = [None] * n
+        # the traversal's result cells, ABSENT until a visit writes them;
+        # the result takes these arrays over
+        self.traversal = array(ID, [ABSENT]) * n
+        self.distance = array(ID, [ABSENT]) * n
+        self.parent = array(ID, [ABSENT]) * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
         self._cell = cell = [0, None]  # the current unlink block's first in-table slot and log

@@ -62,12 +62,6 @@ class Graph:
         self.num_vertices = n
         self.num_arcs = len(tgt)
 
-    def outdegree(self, u: int) -> int:
-        return len(self.out_lists[u])
-
-    def targets(self, u: int) -> tuple[int, ...]:
-        return self.out_lists[u]
-
     def arcs(self) -> Iterable[tuple[int, int]]:
         """All arcs as (source, target), source-major in adjacency order."""
         for u, targets in enumerate(self.out_lists):

@@ -36,6 +36,7 @@ from typing import Iterable
 
 from .elim import ElimGraph, arc_slot
 from .errors import InvariantViolation
+from .result import ABSENT
 
 COUNTERS = "counters"
 PARANOID = "paranoid"
@@ -190,7 +191,7 @@ class InvariantMonitor:
             for a in chain:
                 t = tgt[a]
                 live_in[t] += 1
-                if trav[t] is not None:
+                if trav[t] != ABSENT:
                     raise InvariantViolation(
                         f"live arc {u}->{t} targets visited vertex {t}"
                     )

@@ -1,13 +1,65 @@
 """The outcome of one traversal, shared by the parallel drivers and the
-sequential references."""
+sequential references.
+
+Each per-vertex field is one unsigned ``array(ID)`` of cells, with the one
+value ``ABSENT`` for a vertex that has no number, parent or distance.  A
+visit number is stored less the run's first number ``a``, so any ``a``
+fits: the cells of a run hold 0, 1, ..., visited_count - 1.
+"""
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional
+
+from .graph import ID
+
+ABSENT = 0xFFFFFFFF  # the largest ID value: no visit number, parent or distance
 
 
-def _cell(value: Optional[int]) -> str:
-    return "-" if value is None else str(value)
+class Column(Sequence):
+    """A read-only view of one field's cells: ``cells[v] + base``, or None
+    where the cell is ABSENT.
+
+    Two columns over equal cells and the same base compare in C; any other
+    pair compares value by value.  A column hashes as the tuple of its
+    values.
+    """
+
+    __slots__ = ("_cells", "_base")
+
+    def __init__(self, cells: array, base: int = 0):
+        self._cells = cells
+        self._base = base
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, v: int) -> Optional[int]:
+        x = self._cells[v]
+        return None if x == ABSENT else x + self._base
+
+    def __iter__(self) -> Iterator[Optional[int]]:
+        base = self._base
+        return (None if x == ABSENT else x + base for x in self._cells)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        if self._base == other._base:
+            return self._cells == other._cells
+        return list(self) == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Column({list(self)!r})"
+
+
+def _pack(values: Sequence[Optional[int]], base: int = 0) -> array:
+    return array(ID, [ABSENT if x is None else x - base for x in values])
 
 
 @dataclass(frozen=True)
@@ -16,15 +68,16 @@ class TraversalResult:
 
     ``traversal`` holds the visit numbers, ``parent`` the search-tree
     parents (absent for start vertices and unreachable vertices), and
-    ``distance`` the hop counts (breadth-first runs only).  Visited
-    vertices carry the numbers ``a, a+1, ..., a+visited_count-1`` where
-    ``a`` was the first number of the run, so ``next_number`` is always
-    ``a + visited_count``.
+    ``distance`` the hop counts (breadth-first runs only).  Each is a
+    read-only sequence of ``Optional[int]`` that reads None where absent.
+    Visited vertices carry the numbers ``a, a+1, ..., a+visited_count-1``
+    where ``a`` was the first number of the run, so ``next_number`` is
+    always ``a + visited_count``.
     """
 
-    traversal: tuple[Optional[int], ...]
-    parent: tuple[Optional[int], ...]
-    distance: tuple[Optional[int], ...]
+    traversal: Column
+    parent: Column
+    distance: Column
     visited_count: int
     next_number: int
 
@@ -35,9 +88,25 @@ class TraversalResult:
         parent: Sequence[Optional[int]],
         distance: Sequence[Optional[int]],
         next_number: int,
+        visited_count: Optional[int] = None,
     ) -> "TraversalResult":
-        visited = len(traversal) - traversal.count(None)
-        return cls(tuple(traversal), tuple(parent), tuple(distance), visited, next_number)
+        """The result of a run that numbered up to ``next_number``.
+
+        With ``visited_count``, the three fields are a run's ``array(ID)``
+        cells, visit numbers stored less the first number; the result
+        takes them without a copy, so nothing may write to them after.
+        Without it they are sequences of ``Optional[int]``, packed into
+        such arrays here, visit numbers less the least of them.
+        """
+        if visited_count is None:
+            numbers = [t for t in traversal if t is not None]
+            visited_count = len(numbers)
+            a = min(numbers, default=0)
+            traversal, parent, distance = _pack(traversal, a), _pack(parent), _pack(distance)
+        else:
+            a = next_number - visited_count
+        return cls(Column(traversal, a), Column(parent), Column(distance),
+                   visited_count, next_number)
 
     def visited(self) -> list[int]:
         """Vertex ids with a traversal number, in visit order."""
@@ -48,8 +117,10 @@ class TraversalResult:
     def serialize(self) -> str:
         """One line per vertex: ``v traversal parent distance``, absent
         fields as ``-``, sorted by vertex id."""
-        lines = [
-            f"{v} {_cell(self.traversal[v])} {_cell(self.parent[v])} {_cell(self.distance[v])}"
-            for v in range(len(self.traversal))
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
+        a = self.traversal._base  # parents and distances are stored as they are
+        cells = (field._cells.tolist() for field in (self.traversal, self.parent, self.distance))
+        return "".join([
+            f"{v} {'-' if t == ABSENT else t + a} {'-' if p == ABSENT else p} "
+            f"{'-' if d == ABSENT else d}\n"
+            for v, (t, p, d) in enumerate(zip(*cells))
+        ])

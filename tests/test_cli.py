@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from arcelim import MatchReport, cli
+from arcelim import MatchReport, cli, gnm, serialize_edge_list
 from arcelim.cli import CSV_COLUMNS, main
 
 SAMPLE_DFS_DUMP = (
@@ -134,6 +139,17 @@ class TestRun:
         assert main(["run", "dfs", sample_file, "--start", "6", "--a0", "5"]) == 0
         dump = capsys.readouterr().out.split("\n\n")[0]
         assert dump.splitlines()[6] == "6 5 - -"
+
+    @pytest.mark.parametrize("a0", [-5, 4294967296])
+    def test_any_first_number(self, sample_file, capsys, a0):
+        """Numbers are stored less the first, so a negative first number
+        and one beyond 32 bits print as they always have."""
+        assert main(["run", "dfs", sample_file, "--a0", str(a0), "--trace"]) == 0
+        captured = capsys.readouterr()
+        dump = captured.out.split("\n\n")[0] + "\n"
+        rows = (line.split() for line in SAMPLE_DFS_DUMP.splitlines())
+        assert dump == "".join(f"{v} {int(t) + a0} {p} {d}\n" for v, t, p, d in rows)
+        assert captured.err.splitlines()[0] == f"visit 0 number={a0} level=0"
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["run", "dfs", str(tmp_path / "nope.txt")]) == 2
@@ -361,3 +377,32 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --kinds must name at least one kind\n"
+
+
+class TestBrokenPipe:
+    """A reader that closes standard output early ends a command quietly
+    with BROKEN_PIPE, whether the closed pipe shows at a write (run's
+    large dump) or only at the final flush (gen's and bench's short
+    output)."""
+
+    MAIN = "import sys; from arcelim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    @pytest.mark.parametrize("command", ["gen", "run", "bench"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, command):
+        graph = tmp_path / "g.txt"
+        graph.write_text(serialize_edge_list(gnm(2000, 8000, 1)))
+        args = {"gen": ["gen", "--family", "path", "--n", "3"],
+                "run": ["run", "bfs", str(graph)],
+                "bench": ["bench", "--family", "path", "--sizes", "6"]}[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run([sys.executable, "-c", self.MAIN, *args], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode == cli.BROKEN_PIPE == 141

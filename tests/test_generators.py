@@ -23,7 +23,7 @@ class TestGnm:
     def test_max_arcs_is_complete_digraph(self, seed):
         g = gnm(4, 12, seed)
         for u in range(4):
-            assert sorted(g.targets(u)) == [v for v in range(4) if v != u]
+            assert sorted(g.out_lists[u]) == [v for v in range(4) if v != u]
 
     def test_deterministic(self):
         a = serialize_edge_list(gnm(100, 5000, 42))
@@ -70,17 +70,17 @@ class TestGnm:
 
 class TestFixedFamilies:
     def test_path3(self):
-        assert [list(path(3).targets(u)) for u in range(3)] == [[1], [2], []]
+        assert [list(path(3).out_lists[u]) for u in range(3)] == [[1], [2], []]
 
     def test_complete3(self):
         g = complete(3)
         assert g.num_arcs == 6
-        assert [list(g.targets(u)) for u in range(3)] == [[1, 2], [0, 2], [0, 1]]
+        assert [list(g.out_lists[u]) for u in range(3)] == [[1, 2], [0, 2], [0, 1]]
 
     def test_star_out(self):
         g = star_out(5)
-        assert list(g.targets(0)) == [1, 2, 3, 4]
-        assert all(g.outdegree(u) == 0 for u in range(1, 5))
+        assert list(g.out_lists[0]) == [1, 2, 3, 4]
+        assert all(len(g.out_lists[u]) == 0 for u in range(1, 5))
 
     def test_single_vertex_families(self):
         assert path(1).num_arcs == 0
@@ -103,16 +103,16 @@ class TestLayeredDag:
         a, b = layered_dag(4, 3, seed=1), layered_dag(4, 3, seed=2)
         assert a != b  # seed shuffles adjacency order
         for u in range(a.num_vertices):
-            assert sorted(a.targets(u)) == sorted(b.targets(u))
+            assert sorted(a.out_lists[u]) == sorted(b.out_lists[u])
 
     def test_layer_targets(self):
         g = layered_dag(2, 3, seed=0)
         for u in (0, 1):
-            assert sorted(g.targets(u)) == [2, 3]
+            assert sorted(g.out_lists[u]) == [2, 3]
         for u in (2, 3):
-            assert sorted(g.targets(u)) == [4, 5]
+            assert sorted(g.out_lists[u]) == [4, 5]
         for u in (4, 5):
-            assert g.outdegree(u) == 0
+            assert len(g.out_lists[u]) == 0
 
     def test_deterministic(self):
         assert layered_dag(5, 4, 9) == layered_dag(5, 4, 9)

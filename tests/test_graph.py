@@ -79,7 +79,7 @@ class TestFromAdjacency:
     @given(adjacency_lists())
     def test_order_preserved(self, lists):
         g = Graph(lists)
-        assert [list(g.targets(u)) for u in range(g.num_vertices)] == lists
+        assert [list(g.out_lists[u]) for u in range(g.num_vertices)] == lists
         assert [g.tgt[g.off[u]:g.off[u + 1]].tolist() for u in range(g.num_vertices)] == lists
         assert len(g.off) == g.num_vertices + 1
         assert g.num_arcs == sum(len(row) for row in lists)
@@ -114,7 +114,7 @@ class TestFromAdjacency:
             assert str(exc.value) == str(err)
             return
         for u in range(g.num_vertices):
-            row = g.targets(u)
+            row = g.out_lists[u]
             assert len(set(row)) == len(row)
             assert all(0 <= t < g.num_vertices for t in row)
         assert Graph(lists) == g
@@ -123,23 +123,23 @@ class TestFromAdjacency:
 class TestOutdegree:
     def test_sample_degrees(self):
         g = sample9()
-        assert g.outdegree(0) == 4
-        assert g.outdegree(6) == 0
+        assert len(g.out_lists[0]) == 4
+        assert len(g.out_lists[6]) == 0
 
     def test_single_vertex(self):
-        assert Graph([[]]).outdegree(0) == 0
+        assert len(Graph([[]]).out_lists[0]) == 0
 
 
 class TestParseEdgeList:
     def test_minimal(self):
         g = parse_edge_list("2 1\n0 1\n")
-        assert [list(g.targets(u)) for u in range(2)] == [[1], []]
+        assert [list(g.out_lists[u]) for u in range(2)] == [[1], []]
 
     def test_adjacency_order_is_appearance_order(self):
         g = parse_edge_list("3 3\n0 1\n0 2\n1 2\n")
-        assert [list(g.targets(u)) for u in range(3)] == [[1, 2], [2], []]
+        assert [list(g.out_lists[u]) for u in range(3)] == [[1, 2], [2], []]
         g = parse_edge_list("3 3\n0 2\n1 2\n0 1\n")
-        assert list(g.targets(0)) == [2, 1]
+        assert list(g.out_lists[0]) == [2, 1]
 
     def test_duplicate_arc_in_file(self):
         with pytest.raises(DuplicateArc):
@@ -148,7 +148,7 @@ class TestParseEdgeList:
     def test_comments_blanks_crlf_trailing_ws(self):
         text = "# a graph\r\n2 1 \r\n\r\n# arc next\n0 1\t\n"
         g = parse_edge_list(text)
-        assert list(g.targets(0)) == [1]
+        assert list(g.out_lists[0]) == [1]
 
     def test_count_mismatch_too_few(self):
         with pytest.raises(CountMismatch) as exc:

@@ -19,6 +19,7 @@ from arcelim import (
     path,
     sample9,
 )
+from arcelim.result import ABSENT
 
 
 def attached(level=COUNTERS, g=None):
@@ -190,7 +191,7 @@ class TestDriverSideReports:
         with SkippingEngine(2, backend=backend) as engine:
             with pytest.raises(InvariantViolation, match="still linked"):
                 search(eg, 0, engine=engine)
-        assert eg.traversal == [None] * 9
+        assert list(eg.traversal) == [ABSENT] * 9
         assert monitor.stats["visit_checks"] == 0
         assert monitor.stats["structural_scans"] == 0
 

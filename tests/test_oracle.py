@@ -26,7 +26,7 @@ def hop_distances(g, s):
         for u in range(n):
             if dist[u] is None:
                 continue
-            for v in g.targets(u):
+            for v in g.out_lists[u]:
                 if dist[v] is None or dist[v] > dist[u] + 1:
                     dist[v] = dist[u] + 1
                     changed = True
@@ -155,7 +155,7 @@ class TestNetworkx:
             g = gnm(40, 200, seed)
             G = nx.DiGraph()
             G.add_nodes_from(range(g.num_vertices))
-            G.add_edges_from((u, v) for u in range(g.num_vertices) for v in g.targets(u))
+            G.add_edges_from((u, v) for u in range(g.num_vertices) for v in g.out_lists[u])
             if kind == "dfs":
                 order = list(nx.dfs_preorder_nodes(G, 0))
                 edges = list(nx.dfs_edges(G, 0))

@@ -1,4 +1,5 @@
 import random
+from array import array
 from collections import deque
 
 import pytest
@@ -30,6 +31,8 @@ from arcelim import (
     sweep,
     verify_against_oracle,
 )
+from arcelim.graph import ID
+from arcelim.result import ABSENT, Column
 
 SAMPLE_DFS_NUMBERS = {0: 0, 1: 1, 5: 2, 7: 3, 8: 4, 4: 5, 3: 6, 6: 7, 2: 8}
 SAMPLE_DFS_TREE = {(0, 1), (1, 5), (5, 7), (7, 8), (8, 4), (4, 3), (3, 6), (5, 2)}
@@ -103,7 +106,7 @@ def assert_spanning_tree(res, g, s):
             assert p is None
             continue
         assert p is not None and res.traversal[p] is not None
-        assert v in g.targets(p)
+        assert v in g.out_lists[p]
         hops = 0
         u = v
         while u != s:
@@ -378,6 +381,56 @@ class TestOracleAgreement:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_against_oracle(path(2), 0, "iddfs")
+
+
+class TestResult:
+    """A result's fields are read-only sequences of Optional[int] over the
+    run's cells; results compare and hash by value, whoever filled them."""
+
+    @pytest.mark.parametrize("a", [0, -5, 2**32])
+    @pytest.mark.parametrize("kind", [DFS, BFS])
+    def test_driver_result_equals_and_hashes_like_the_oracle(self, kind, a):
+        g = gnm(64, 256, 3)
+        got, _, _ = run(kind, g, 5, a)
+        want = (seq_dfs if kind == DFS else seq_bfs)(g, 5, a)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert {got, want} == {want}
+        assert compare_results(got, want).ok
+
+    @pytest.mark.parametrize("kind", [DFS, BFS])
+    def test_fields_iterate_as_optional_ints(self, kind):
+        g = Graph([[1], [], [0]])  # 2 is unreachable from 0
+        res, _, _ = run(kind, g, 0, 7)
+        for field in (res.traversal, res.parent, res.distance):
+            assert len(field) == 3
+            assert all(x is None or type(x) is int for x in field)
+            assert list(field) == [field[v] for v in range(3)]
+        assert list(res.traversal) == [7, 8, None]
+        assert list(res.parent) == [None, 0, None]
+        assert list(res.distance) == ([None] * 3 if kind == DFS else [0, 1, None])
+        assert res.visited() == [0, 1]
+        assert (res.visited_count, res.next_number) == (2, 9)
+
+    def test_results_from_lists_equal_results_from_cells(self):
+        """Equal values compare and hash equal however they are stored."""
+        res, _, _ = run(DFS, path(3), 0, 10)
+        packed = TraversalResult.collect([10, 11, 12], [None, 0, 1], [None] * 3, 13)
+        assert packed == res and hash(packed) == hash(res)
+        other = TraversalResult.collect([10, 12, 11], [None, 0, 1], [None] * 3, 13)
+        assert other != res
+
+    def test_columns_compare_by_value_across_bases(self):
+        same = Column(array(ID, [0, ABSENT, 2]), 10), Column(array(ID, [5, ABSENT, 7]), 5)
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        assert Column(array(ID, [0, ABSENT, 3]), 10) != same[1]
+        assert Column(array(ID, [0, 1, 2]), 10) != same[1]
+        assert same[0] != (10, None, 12)
+
+    def test_fields_are_read_only(self):
+        res, _, _ = run(BFS, path(3))
+        with pytest.raises(TypeError):
+            res.traversal[0] = 5
 
 
 class TestSweep:
