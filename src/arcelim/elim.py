@@ -28,14 +28,14 @@ drivers: a visited vertex has no live incoming arc, so following the first
 live arc of any list always discovers an unvisited vertex.
 
 In validation mode the bodies log each cell they write as one int,
-``6 * index + kind``, where ``CELLS[kind]`` names the cell; a violation is
+``5 * index + kind``, where ``CELLS[kind]`` names the cell; a violation is
 reported with the cell decoded to ``(name, index)``.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise
 from typing import TYPE_CHECKING
 
 from .engine import ParEngine
@@ -48,16 +48,15 @@ if TYPE_CHECKING:
 
 
 # the kinds of cell a validating block logs, by the index they name: a
-# vertex's indeg (init), its head node's nxt and prv (init), its next in_arc
-# slot and indeg (build), an arc's nxt and prv (build), and one nxt or prv
-# entry (unlink)
-CELLS = ("indeg", "head", "in", "arc", "nxt", "prv")
-INDEG, HEAD, IN, ARC, NXT, PRV = range(len(CELLS))
+# vertex's head node's nxt and prv (init), its in_arc slot and cursor
+# (build), an arc's nxt and prv (build), and one nxt or prv entry (unlink)
+CELLS = ("head", "in", "arc", "nxt", "prv")
+HEAD, IN, ARC, NXT, PRV = range(len(CELLS))
 
 
 def cell_name(cell: int) -> tuple[str, int]:
-    """A logged cell ``6 * index + kind`` as ``(CELLS[kind], index)``."""
-    index, kind = divmod(cell, 6)
+    """A logged cell ``5 * index + kind`` as ``(CELLS[kind], index)``."""
+    index, kind = divmod(cell, 5)
     return CELLS[kind], index
 
 
@@ -97,8 +96,8 @@ class ElimGraph:
             monitor.check_unattached()
         if engine is None:
             engine = ParEngine()
-        # untimed pre-pass: in-table offsets from the in-degree counts and
-        # zeroed state arrays; the out-lists are the graph's own arrays
+        # untimed pre-pass: zeroed state arrays, and in_off shifted up one so
+        # that in_off[v + 1] is v's first slot, the cursor its arc blocks advance
         n, m = graph.num_vertices, graph.num_arcs
         self.n = n
         self.m = m
@@ -109,10 +108,11 @@ class ElimGraph:
             counts[v] += 1
         self.in_off = in_off = array(ID, accumulate(counts, initial=0))
         del counts
+        in_off.pop()  # the total, where the last cursor ends
+        in_off.insert(0, 0)
         self.in_arc = in_arc = array(ID, [0]) * m
         self.nxt = nxt = array(ID, [0]) * (m + n)
         self.prv = prv = array(ID, [0]) * (m + n)
-        self.indeg = indeg = array(ID, [0]) * n
         # the traversal's result cells, ABSENT until a visit writes them;
         # the result takes these arrays over
         self.traversal = array(ID, [ABSENT]) * n
@@ -124,15 +124,12 @@ class ElimGraph:
         log = engine.log_write
 
         def init_body(r: range) -> None:
-            s, e = r.start, r.stop
-            for u, lo, hi in zip(r, off[s:e], off[s + 1:e + 1]):
+            for u, (lo, hi) in zip(r, pairwise(islice(off, r.start, None))):
                 h = m + u
-                indeg[u] = 0
                 nxt[h] = lo if lo < hi else h
                 prv[h] = hi - 1 if lo < hi else h
                 if log is not None:
-                    log(6 * u + INDEG)
-                    log(6 * u + HEAD)
+                    log(5 * u + HEAD)
 
         h = lo = end = 0  # the block's head node, first arc id and one past its last
 
@@ -140,19 +137,19 @@ class ElimGraph:
             for i in r:
                 a = lo + i
                 v = tgt[a]
-                d = indeg[v]
-                in_arc[in_off[v] + d] = a
-                indeg[v] = d + 1
+                c = in_off[v + 1]
+                in_arc[c] = a
+                in_off[v + 1] = c + 1
                 x = a + 1
                 nxt[a] = x if x != end else h
                 prv[a] = a - 1 if i else h
                 if log is not None:
-                    log(6 * v + IN)
-                    log(6 * a + ARC)
+                    log(5 * v + IN)
+                    log(5 * a + ARC)
 
         try:
             engine.par_for(n, init_body)
-            for h, lo, end in zip(range(m, m + n), off, off[1:]):
+            for h, (lo, end) in zip(range(m, m + n), pairwise(off)):
                 engine.par_for(end - lo, arc_body)
         except DisjointWriteViolation as exc:
             raise DisjointWriteViolation(cell_name(exc.cell)) from None
@@ -180,8 +177,8 @@ class ElimGraph:
                 nxt[p] = x
                 prv[x] = p
                 if log is not None:
-                    log(6 * p + NXT)
-                    log(6 * x + PRV)
+                    log(5 * p + NXT)
+                    log(5 * x + PRV)
 
         self._unlink = unlink_body  # for eliminate(arc) and every visit
 
@@ -209,8 +206,8 @@ class ElimGraph:
 
         The sources of v's incoming arcs are pairwise distinct, so the
         block's writes are disjoint.  Always costs one synchronization step,
-        even for indeg(v) == 0.  A monitor hears of each arc from the driver,
-        after the block has joined.
+        even with no incoming arc.  A monitor hears of each arc from the
+        driver, after the block has joined.
         """
         in_off, cell = self.in_off, self._cell
         lo = cell[0] = in_off[v]

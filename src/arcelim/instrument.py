@@ -69,7 +69,7 @@ class InvariantMonitor:
         self.check_unattached()
         self.eg = eg
         eg.monitor = self
-        self._live_in = list(eg.indeg)
+        self._live_in = [eg.in_off[v + 1] - eg.in_off[v] for v in range(eg.n)]
         self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------

@@ -20,7 +20,7 @@ ABSENT = 0xFFFFFFFF  # the largest ID value: no visit number, parent or distance
 
 class Column(Sequence):
     """A read-only view of one field's cells: ``cells[v] + base``, or None
-    where the cell is ABSENT.
+    where the cell is ABSENT; a slice reads as a tuple of those values.
 
     Two columns over equal cells and the same base compare in C; any other
     pair compares value by value.  A column hashes as the tuple of its
@@ -36,7 +36,9 @@ class Column(Sequence):
     def __len__(self) -> int:
         return len(self._cells)
 
-    def __getitem__(self, v: int) -> Optional[int]:
+    def __getitem__(self, v: int | slice) -> Optional[int] | tuple[Optional[int], ...]:
+        if isinstance(v, slice):
+            return tuple(Column(self._cells[v], self._base))
         x = self._cells[v]
         return None if x == ABSENT else x + self._base
 

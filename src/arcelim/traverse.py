@@ -21,6 +21,7 @@ roots' trees.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Optional
 from .elim import ElimGraph
 from .engine import SIMULATED, ParEngine
 from .errors import ElimGraphReused, InvalidStart
-from .graph import Graph
+from .graph import ID, Graph
 from .oracle import seq_bfs, seq_dfs
 from .result import ABSENT, TraversalResult
 
@@ -61,7 +62,7 @@ def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note])
     m, nxt, tgt = eg.m, eg.nxt, eg.tgt
     k = _visit(eg, s, ABSENT, k, 0, engine, note)
     ticks = 1  # the visit of s
-    stack = [s]
+    stack = array(ID, [s])  # one 4-byte cell per frame, not an int object
     while stack:
         v = stack[-1]
         ticks += 1  # the "any live arc left?" test at v

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from array import array
 from bisect import bisect_right
 
 import pytest
@@ -27,7 +28,8 @@ from arcelim import (
     seq_dfs,
     sweep,
 )
-from arcelim.elim import cell_name
+from arcelim.elim import CELLS, cell_name
+from arcelim.graph import ID
 from arcelim.result import ABSENT
 
 
@@ -51,15 +53,19 @@ def arcs_of(eg, u):
     return range(eg.off[u], eg.off[u + 1])
 
 
+def indegree(eg, v):
+    return eg.in_off[v + 1] - eg.in_off[v]
+
+
 class TestBuild:
     def test_sample_in_table_vertex3(self):
         eg = ElimGraph.build(sample9())
-        assert eg.indeg[3] == 5
+        assert indegree(eg, 3) == 5
         assert in_table(eg, 3) == [(0, 2), (2, 1), (4, 1), (5, 1), (8, 1)]
 
     def test_sample_in_table_vertex7(self):
         eg = ElimGraph.build(sample9())
-        assert eg.indeg[7] == 1
+        assert indegree(eg, 7) == 1
         assert in_table(eg, 7) == [(5, 0)]
 
     def test_fresh_links(self):
@@ -92,7 +98,33 @@ class TestBuild:
         expected = brute_force_in_tables(g)
         # the sequential outer loop makes each in-table ascend by source id
         assert [in_table(eg, v) for v in range(n)] == [sorted(t) for t in expected]
-        assert list(eg.indeg) == [len(t) for t in expected]
+        assert [indegree(eg, v) for v in range(n)] == [len(t) for t in expected]
+
+    def test_empty_graph(self):
+        with ParEngine(1, validate_writes=True) as eng:
+            eg = ElimGraph(Graph([]), eng)
+        assert eg.in_off == array(ID, [0])
+        assert len(eg.in_arc) == len(eg.nxt) == len(eg.prv) == 0
+        assert eng.report().sync_steps == 1  # the empty init block
+
+    def test_lone_self_loop(self):
+        with RecordingEngine(1, validate_writes=True) as eng:
+            eg = ElimGraph(Graph([[0]]), eng)
+        assert eg.in_off == array(ID, [0, 1]) and eg.in_arc == array(ID, [0])
+        # arc 0 and head node 1 form one circle
+        assert list(eg.nxt) == list(eg.prv) == [1, 0]
+        assert eng.cells == [[("head", 0)], [("in", 0), ("arc", 0)]]
+        monitor = InvariantMonitor(PARANOID)
+        assert list(dfs(ElimGraph(Graph([[0]]), monitor=monitor), 0).traversal) == [0]
+        assert monitor.stats["eliminations"] == 1
+
+    def test_last_vertex_has_incoming_arcs(self):
+        """The last vertex's cursor is the one the pre-pass shifted past the
+        old end of ``in_off``; it must end at m."""
+        eg = ElimGraph(Graph([[2], [0, 2], []]))
+        assert eg.in_off == array(ID, [0, 1, 1, 3])
+        assert in_table(eg, 2) == [(0, 0), (1, 1)]
+        assert [indegree(eg, v) for v in range(3)] == [1, 0, 2]
 
     def test_build_cost_sample_p1(self):
         with ParEngine(1) as eng:
@@ -125,11 +157,11 @@ class TestBuild:
         # the constructor is the build: same arrays, same counted cost
         with ParEngine(p, backend=backend, validate_writes=True) as direct_eng:
             direct = ElimGraph(sample9(), direct_eng)
-        for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
+        for name in ("in_off", "in_arc", "nxt", "prv"):
             assert getattr(direct, name) == getattr(eg, name)
         assert direct_eng.report() == eng.report()
         assert dfs(ElimGraph(sample9()), 0) == seq_dfs(sample9(), 0)
-        for name in ("in_off", "in_arc", "nxt", "prv", "indeg"):
+        for name in ("in_off", "in_arc", "nxt", "prv"):
             assert getattr(eg, name) == getattr(base, name)
 
 
@@ -154,7 +186,7 @@ class TestSharedAdjacency:
         finally:
             tracemalloc.stop()
         own = sum(sys.getsizeof(getattr(eg, name)) for name in
-                  ("in_off", "in_arc", "nxt", "prv", "indeg", "traversal", "distance", "parent"))
+                  ("in_off", "in_arc", "nxt", "prv", "traversal", "distance", "parent"))
         # a copy of the out-lists would add 4m + 4n = 88,000 bytes
         assert own <= kept <= own + 4096
 
@@ -288,26 +320,39 @@ class TestWriteValidation:
             ElimGraph(g, ParEngine(validate_writes=True))
         assert info.value.cell == ("in", 1)
 
+    @pytest.mark.parametrize("name", ["head", "in", "arc", "nxt", "prv"])
+    def test_every_logged_kind_decodes_to_its_name(self, name):
+        cell = cell_name(5 * 17 + CELLS.index(name))
+        assert cell == (name, 17)
+        assert str(DisjointWriteViolation(cell)) == (
+            f"location ('{name}', 17) written twice within one parallel block")
+
     def test_validating_solve_peak_is_bounded_by_the_log(self):
         """Validation adds to a path(20000) bfs solve's peak no more than
-        the log of its largest block, the init block's 2n cells, at 48 B a
+        the log of its largest block, the init block's n cells, at 48 B a
         cell: one int, one log slot and one slot of the sorted copy that
         checks it.  A set check, or a tuple per cell, costs more."""
         n = 20000
         g = path(n)
-        bfs_peak(g, True)  # warm the caches and code paths the solve touches
-        assert bfs_peak(g, True) - bfs_peak(g, False) <= 1.1 * 48 * 2 * n
+        solve_peak(g, bfs, True)  # warm the caches and code paths the solve touches
+        assert solve_peak(g, bfs, True)[0] - solve_peak(g, bfs, False)[0] <= 1.1 * 48 * n
 
 
-def bfs_peak(g, validate):
-    """The tracemalloc peak, in bytes, of one bfs solve of g from 0 at p=3."""
+# the arrays a search structure keeps; the result takes over the last three
+KEPT = ("in_off", "in_arc", "nxt", "prv", "traversal", "distance", "parent")
+
+
+def solve_peak(g, run, validate=False):
+    """The tracemalloc peak, in bytes, of one ``run`` solve of g from 0 at
+    p=3, and the search structure it solved on."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         with ParEngine(3, validate_writes=validate) as eng:
-            bfs(ElimGraph(g, eng), 0, 0, eng)
-        return tracemalloc.get_traced_memory()[1] - before
+            eg = ElimGraph(g, eng)
+            run(eg, 0, 0, eng)
+        return tracemalloc.get_traced_memory()[1] - before, eg
     finally:
         tracemalloc.stop()
 
@@ -316,11 +361,23 @@ class TestMemory:
     def test_solve_peak_per_vertex(self):
         """Each vertex's number, parent and distance is one 4-byte cell, not
         a list slot, a tuple slot and an int object: a path(20000) bfs
-        solve peaks at no more than 60 B per vertex."""
+        solve peaks at no more than 40 B per vertex."""
         n = 20000
         g = path(n)
-        bfs_peak(g, False)  # warm the caches and code paths the solve touches
-        assert bfs_peak(g, False) <= 60 * n
+        solve_peak(g, bfs)  # warm the caches and code paths the solve touches
+        assert solve_peak(g, bfs)[0] <= 40 * n
+
+    @pytest.mark.parametrize("graph,run", [("gnm", dfs), ("path", dfs), ("path", bfs)])
+    def test_solve_peak_is_the_kept_state(self, graph, run):
+        """A solve allocates little beyond the arrays its structure keeps:
+        no in-degree array, no copy of ``off`` and one 4-byte cell per dfs
+        stack frame, which goes about n deep on both graphs, so at most
+        10 B per vertex in all."""
+        g = gnm(2000, 40000, seed=1) if graph == "gnm" else path(20000)
+        solve_peak(g, run)  # warm the caches and code paths the solve touches
+        peak, eg = solve_peak(g, run)
+        kept = sum(sys.getsizeof(getattr(eg, name)) for name in KEPT)
+        assert peak - kept <= 10 * g.num_vertices
 
 
 class RecordingEngine(ParEngine):
@@ -471,7 +528,7 @@ class TestInspection:
         eg = ElimGraph.build(sample9())
         arcs = arcs_of(eg, 3)
         assert len(arcs) == 3
-        assert eg.indeg[3] == 5
+        assert indegree(eg, 3) == 5
         assert [eg.tgt[a] for a in arcs] == [6, 5, 0]
         assert eg.nxt[eg.m + 3] == arcs.start
         assert eg.traversal[3] == ABSENT
@@ -482,7 +539,7 @@ class TestInspection:
         assert [eg.live_targets(u) for u in range(3)] == [[2], [2], []]
         # slot of each live list's first arc; vertex 2's list is empty
         assert [eg.live_arcs(u)[0] - eg.off[u] for u in range(2)] == [1, 0]
-        assert list(eg.indeg) == [0, 1, 2]
+        assert [indegree(eg, v) for v in range(3)] == [0, 1, 2]
 
 
 class TestStructuralIntegrity:

@@ -345,7 +345,8 @@ class TestSingleElimination:
         res, _, eg = run(kind, g, s, monitor=monitor)
         visited = [v for v, t in enumerate(res.traversal) if t is not None]
         # the monitor raises on any double elimination; count the singles
-        assert monitor.stats["eliminations"] == sum(eg.indeg[v] for v in visited)
+        assert monitor.stats["eliminations"] == sum(
+            eg.in_off[v + 1] - eg.in_off[v] for v in visited)
 
 
 class TestTreeValidity:
@@ -426,6 +427,21 @@ class TestResult:
         assert Column(array(ID, [0, ABSENT, 3]), 10) != same[1]
         assert Column(array(ID, [0, 1, 2]), 10) != same[1]
         assert same[0] != (10, None, 12)
+
+    @pytest.mark.parametrize("a", [0, 7])
+    @pytest.mark.parametrize("kind", [DFS, BFS])
+    def test_a_slice_of_a_field_is_a_tuple_of_its_values(self, kind, a):
+        g = Graph([[1, 3], [2], [], [], []])  # 4 is unreachable from 0
+        res = (seq_dfs if kind == DFS else seq_bfs)(g, 0, a)
+        got, _, _ = run(kind, g, 0, a)
+        for field in ("traversal", "parent", "distance"):
+            for r in (res, got):
+                values = list(getattr(r, field))
+                for sl in (slice(1, 4), slice(None), slice(None, None, -2),
+                           slice(-1, 0, -1), slice(3, 1)):
+                    assert getattr(r, field)[sl] == tuple(values[sl])
+        assert got.traversal[::-2] == (None, 2 + a if kind == DFS else 3 + a, a)
+        assert got.parent[-2:] == (0, None)
 
     def test_fields_are_read_only(self):
         res, _, _ = run(BFS, path(3))
