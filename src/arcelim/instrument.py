@@ -32,10 +32,12 @@ monitor was live.
 """
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 from .elim import ElimGraph, arc_slot
 from .errors import InvariantViolation
+from .graph import ID
 from .result import ABSENT
 
 COUNTERS = "counters"
@@ -69,7 +71,12 @@ class InvariantMonitor:
         self.check_unattached()
         self.eg = eg
         eg.monitor = self
-        self._live_in = [eg.in_off[v + 1] - eg.in_off[v] for v in range(eg.n)]
+        # one 4-byte count per vertex: its in-degree, from the differences of in_off
+        in_off = eg.in_off
+        live_in = in_off[1:]
+        for v in range(eg.n):
+            live_in[v] -= in_off[v]
+        self._live_in = live_in
         self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------
@@ -144,7 +151,7 @@ class InvariantMonitor:
         """
         eg = self.eg
         self.stats["structural_scans"] += 1
-        live_in = [0] * eg.n
+        live_in = array(ID, [0]) * eg.n
         trav, off, tgt, nxt, prv, m = eg.traversal, eg.off, eg.tgt, eg.nxt, eg.prv, eg.m
         flags = self._eliminated
         live = bytearray(len(tgt))

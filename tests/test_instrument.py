@@ -1,6 +1,8 @@
 """The monitor must actually catch broken invariants, not just pass clean
 runs; every check gets a negative control here."""
+import gc
 import threading
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,7 @@ from arcelim import (
     ParEngine,
     bfs,
     dfs,
+    gnm,
     path,
     sample9,
 )
@@ -68,6 +71,27 @@ class TestCleanRuns:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             InvariantMonitor("relaxed")
+
+
+class TestMemory:
+    def test_attach_keeps_four_byte_counts(self):
+        """The monitor keeps one 4-byte live-in count per vertex and one
+        elimination flag byte per arc, not a list slot per vertex."""
+        g = gnm(2000, 20000, seed=1)
+        InvariantMonitor().attach(ElimGraph(g))  # warm the code paths attach touches
+        eg = ElimGraph(g)
+        monitor = InvariantMonitor()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            monitor.attach(eg)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 4 * g.num_vertices + g.num_arcs + 2048
+        assert list(monitor._live_in) == [eg.in_off[v + 1] - eg.in_off[v] for v in range(eg.n)]
+        monitor.verify_structure()
 
 
 class TestViolationsCaught:

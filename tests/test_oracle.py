@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +73,24 @@ class TestSeqDfs:
     def test_deep_graph_no_recursion_limit(self):
         res = seq_dfs(path(5000), 0)
         assert res.visited_count == 5000
+
+    def test_deep_search_frame_is_one_iterator(self):
+        """Each open vertex costs its stack one iterator, no (vertex,
+        iterator) tuple, and the visited mark one list slot: a path(20000)
+        search, n frames deep, peaks at most 64 B per vertex above what it
+        keeps."""
+        n = 20000
+        g = path(n)
+        seq_dfs(g, 0)  # warm the caches and code paths the search touches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = seq_dfs(g, 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.visited_count == n
+        assert peak - kept <= 64 * n
 
 
 class TestSeqBfs:
@@ -144,26 +165,49 @@ class TestSerialization:
         assert res.visited() == [0, 1, 5, 7, 8, 4, 3, 6, 2]
 
 
+def comb(k):
+    """A spine 0 -> 1 -> ... -> k-1 whose vertex i also leads, after its
+    spine arc, to a two-vertex tooth with arcs back up to i // 2 and to 0.
+    A DFS goes k deep down the spine first, then on the way back resumes
+    every spine frame to descend into its tooth."""
+    spine = [[i + 1, k + 2 * i] if i < k - 1 else [k + 2 * i] for i in range(k)]
+    teeth = [ts for i in range(k) for ts in ([i // 2, k + 2 * i + 1], [0])]
+    return Graph(spine + teeth)
+
+
 class TestNetworkx:
     """networkx as a third reference, sharing no code with either side."""
+
+    @staticmethod
+    def check(nx, g, kind, label):
+        seq, driver = (seq_dfs, dfs) if kind == "dfs" else (seq_bfs, bfs)
+        G = nx.DiGraph()
+        G.add_nodes_from(range(g.num_vertices))
+        G.add_edges_from((u, v) for u in range(g.num_vertices) for v in g.out_lists[u])
+        if kind == "dfs":
+            order = list(nx.dfs_preorder_nodes(G, 0))
+            edges = list(nx.dfs_edges(G, 0))
+        else:
+            edges = list(nx.bfs_edges(G, 0))
+            order = [0] + [v for _, v in edges]
+        parents = {v: u for u, v in edges}
+        want = [parents.get(v) for v in range(g.num_vertices)]
+        for result in (seq(g, 0), driver(ElimGraph.build(g), 0)):
+            assert result.visited() == order, label
+            assert list(result.parent) == want, label
 
     @pytest.mark.parametrize("kind", ["dfs", "bfs"])
     def test_visit_order_and_parents_match(self, kind):
         nx = pytest.importorskip("networkx")
-        seq, driver = (seq_dfs, dfs) if kind == "dfs" else (seq_bfs, bfs)
         for seed in range(200):
-            g = gnm(40, 200, seed)
-            G = nx.DiGraph()
-            G.add_nodes_from(range(g.num_vertices))
-            G.add_edges_from((u, v) for u in range(g.num_vertices) for v in g.out_lists[u])
-            if kind == "dfs":
-                order = list(nx.dfs_preorder_nodes(G, 0))
-                edges = list(nx.dfs_edges(G, 0))
-            else:
-                edges = list(nx.bfs_edges(G, 0))
-                order = [0] + [v for _, v in edges]
-            parents = {v: u for u, v in edges}
-            want = [parents.get(v) for v in range(g.num_vertices)]
-            for result in (seq(g, 0), driver(ElimGraph.build(g), 0)):
-                assert result.visited() == order, seed
-                assert list(result.parent) == want, seed
+            self.check(nx, gnm(40, 200, seed), kind, seed)
+
+    @pytest.mark.parametrize("graph", ["comb", "complete"])
+    @pytest.mark.parametrize("kind", ["dfs", "bfs"])
+    def test_deep_and_dense_graphs_match(self, kind, graph):
+        """A DFS 1000 deep, where each spine frame resumes after a
+        backtrack that read its vertex from ``parent``, and complete(12),
+        where every frame resumes after each of its descents."""
+        nx = pytest.importorskip("networkx")
+        g = comb(1000) if graph == "comb" else complete(12)
+        self.check(nx, g, kind, graph)
