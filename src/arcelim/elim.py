@@ -199,15 +199,15 @@ class ElimGraph:
         self._cell[:] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1]), None
         self._unlink(range(1))
         if self.monitor is not None:
-            self.monitor.on_eliminate(arc)
+            self.monitor.on_eliminate((arc,))
 
     def eliminate_incoming(self, v: int, engine: ParEngine) -> None:
         """Remove every incoming arc of v in one parallel block.
 
         The sources of v's incoming arcs are pairwise distinct, so the
         block's writes are disjoint.  Always costs one synchronization step,
-        even with no incoming arc.  A monitor hears of each arc from the
-        driver, after the block has joined.
+        even with no incoming arc.  A monitor hears of the block's arcs
+        from the driver, in one call after the block has joined.
         """
         in_off, cell = self.in_off, self._cell
         lo = cell[0] = in_off[v]
@@ -217,10 +217,8 @@ class ElimGraph:
             engine.par_for(hi - lo, self._unlink)
         except DisjointWriteViolation as exc:
             raise DisjointWriteViolation(cell_name(exc.cell)) from None
-        monitor = self.monitor
-        if monitor is not None:
-            for a in self.in_arc[lo:hi]:
-                monitor.on_eliminate(a)
+        if self.monitor is not None:
+            self.monitor.on_eliminate(self.in_arc[lo:hi])
 
     # -- queries -------------------------------------------------------------
 

@@ -44,6 +44,7 @@ contract.  Bodies report locations to ``log_write``, which is None unless
 the engine validates and is otherwise the log's own ``list.append``, atomic
 on either backend; after the join only the driver reads the log.  A cell is
 any hashable value; the search structure logs one int per cell.  A log of
+fewer than 2 cells cannot hold a duplicate and is not checked.  A log of
 fewer than 64 cells is checked with a set.  A longer one is sorted and
 scanned, which holds one pointer per cell where a set holds several; only
 cells that do not sort into a strictly rising sequence are hashed.
@@ -122,7 +123,8 @@ class ParEngine:
         """
         histogram = self.histogram
         histogram[count] = histogram.get(count, 0) + 1
-        if self.validate_writes:
+        validate = self.validate_writes
+        if validate:
             self._write_log.clear()
         if self.backend == SIMULATED:
             if count:
@@ -132,8 +134,13 @@ class ParEngine:
             if pool is None or pool.abandoned:
                 pool = self._pool = _WorkerPool(self.processors)
             pool.run_block(body, count)
-        if self.validate_writes:
-            self._check_block_writes()
+        if validate:
+            log = self._write_log
+            k = len(log)
+            # fewer than 2 cells cannot repeat one; a short log is checked
+            # here, and only a long or failing one goes to the full check
+            if k > 1 and (k >= _SORTED_CHECK_FROM or len(set(log)) != k):
+                self._check_block_writes()
 
     def seq_tick(self, units: int = 1) -> None:
         """Charge sequential driver work: units time steps outside any block."""
@@ -159,18 +166,15 @@ class ParEngine:
         """Raise DisjointWriteViolation on the first cell, in log order,
         that the block logged twice."""
         log = self._write_log
-        if len(log) < _SORTED_CHECK_FROM:
-            clean = len(set(log)) == len(log)
-        else:
+        if len(log) >= _SORTED_CHECK_FROM:
             try:
                 cells = sorted(log)
                 # strictly rising cells are distinct; anything else, such as
                 # sets, which order only by inclusion, goes to the scan
-                clean = all(map(lt, cells, islice(cells, 1, None)))
+                if all(map(lt, cells, islice(cells, 1, None))):
+                    return
             except TypeError:  # cells that do not compare: the scan hashes them
-                clean = False
-        if clean:
-            return
+                pass
         seen = set()
         for cell in log:
             if cell in seen:

@@ -11,10 +11,10 @@ The monitor watches an ElimGraph during a traversal and fails fast on:
 
 Two levels trade cost for directness:
 
-* ``counters``: O(1) bookkeeping per elimination.  Exact per-target live
-  counts give the after-every-visit check; finish() is one structural
-  audit, verifying that the link chains agree with the bookkeeping.
-  Cheap enough for large randomized sweeps.
+* ``counters``: O(1) bookkeeping per elimination, reported in one call
+  per block.  Exact per-target live counts give the after-every-visit
+  check; finish() is one structural audit, verifying that the link chains
+  agree with the bookkeeping.  Cheap enough for large randomized sweeps.
 * ``paranoid``: additionally re-walks every live chain after every visit
   and checks the level-queue properties of breadth-first runs (members of
   the current queue share one distance; no live arc connects two members
@@ -22,8 +22,11 @@ Two levels trade cost for directness:
 
 Every hook runs on the sequential driver, never inside a block: after each
 visit's elimination block has joined, the driver reports the block's arcs
-one by one, and the monitor checks that each is unlinked.  A step that was
-charged but never ran is therefore caught at that visit, not at finish().
+in one call, and the monitor checks, arc by arc, that each is unlinked.  A
+step that was charged but never ran is therefore caught at that visit, not
+at finish().  The structural audit compares chain membership with the
+eliminated flags as two whole arrays, and scans arc by arc only to name the
+first arc that disagrees.
 
 One monitor watches one structure: pass a fresh InvariantMonitor to each
 build.  Violations raise InvariantViolation immediately.  The ``stats``
@@ -33,7 +36,9 @@ monitor was live.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable
+from itertools import compress, islice
+from operator import eq, sub
+from typing import Iterable, Sequence
 
 from .elim import ElimGraph, arc_slot
 from .errors import InvariantViolation
@@ -42,6 +47,8 @@ from .result import ABSENT
 
 COUNTERS = "counters"
 PARANOID = "paranoid"
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 bytearray's complement, by translate
 
 
 class InvariantMonitor:
@@ -71,33 +78,38 @@ class InvariantMonitor:
         self.check_unattached()
         self.eg = eg
         eg.monitor = self
-        # one 4-byte count per vertex: its in-degree, from the differences of in_off
+        # one 4-byte count per vertex: its in-degree, from the differences of
+        # in_off; an array grown from an iterator keeps spare room, and the
+        # whole-array slice is an exact-size copy of it
         in_off = eg.in_off
-        live_in = in_off[1:]
-        for v in range(eg.n):
-            live_in[v] -= in_off[v]
-        self._live_in = live_in
+        self._live_in = array(ID, map(sub, islice(in_off, 1, None), in_off))[:]
         self._eliminated = bytearray(len(eg.tgt))
 
     # -- hooks called by ElimGraph / the traversal drivers --------------------
 
-    def on_eliminate(self, arc: int) -> None:
-        """One arc unlinked by the block that just joined.  The liveness
-        test is the unlink body's own: a live arc is pointed at by its
-        predecessor's nxt."""
+    def on_eliminate(self, arcs: Sequence[int]) -> None:
+        """The arcs unlinked by the block that just joined, reported in one
+        call.  Each is checked in order: not eliminated before, and no longer
+        linked, by the unlink body's own liveness test (a live arc is
+        pointed at by its predecessor's nxt).  Its target's live count drops
+        by one, so an in-table entry that names the wrong arc is caught at
+        that target's visit."""
         eg = self.eg
-        if self._eliminated[arc]:
-            raise InvariantViolation(
-                "arc (source %d, slot %d) eliminated twice" % arc_slot(eg.off, arc)
-            )
-        if eg.nxt[eg.prv[arc]] == arc:
-            raise InvariantViolation(
-                "arc (source %d, slot %d) reported eliminated but still linked"
-                % arc_slot(eg.off, arc)
-            )
-        self._eliminated[arc] = 1
-        self._live_in[eg.tgt[arc]] -= 1
-        self.stats["eliminations"] += 1
+        nxt, prv, tgt = eg.nxt, eg.prv, eg.tgt
+        flags, live_in = self._eliminated, self._live_in
+        for a in arcs:
+            if flags[a]:
+                raise InvariantViolation(
+                    "arc (source %d, slot %d) eliminated twice" % arc_slot(eg.off, a)
+                )
+            if nxt[prv[a]] == a:
+                raise InvariantViolation(
+                    "arc (source %d, slot %d) reported eliminated but still linked"
+                    % arc_slot(eg.off, a)
+                )
+            flags[a] = 1
+            live_in[tgt[a]] -= 1
+        self.stats["eliminations"] += len(arcs)
 
     def after_visit(self, v: int) -> None:
         self.stats["visit_checks"] += 1
@@ -144,17 +156,16 @@ class InvariantMonitor:
         """Walk every live circle from its head node; cross-check links, flags, counts.
 
         Checks, per vertex: strictly increasing arcs from the head node back
-        to it, prv mirroring nxt at every node the head included, chain
-        membership equal to the not-yet-eliminated flags, live-in counts
-        matching the chains, and no live arc targeting a visited vertex.
-        Messages name arcs by their slot in the source's list, the head -1.
+        to it, and prv mirroring nxt at every node the head included.  Then,
+        over all arcs at once: chain membership equal to the not-yet-eliminated
+        flags, no live arc targeting a visited vertex, and live-in counts
+        matching the chains.  Messages name arcs by their slot in the
+        source's list, the head -1.
         """
         eg = self.eg
         self.stats["structural_scans"] += 1
-        live_in = array(ID, [0]) * eg.n
         trav, off, tgt, nxt, prv, m = eg.traversal, eg.off, eg.tgt, eg.nxt, eg.prv, eg.m
-        flags = self._eliminated
-        live = bytearray(len(tgt))
+        live = bytearray(m)
         lo = h = 0
 
         def slot(a: int) -> int:
@@ -162,19 +173,18 @@ class InvariantMonitor:
 
         for u in range(eg.n):
             lo, hi, h = off[u], off[u + 1], m + u
-            chain = []
+            last = lo - 1
             prev = h
             a = nxt[h]
             while a < hi:
-                if a <= (chain[-1] if chain else lo - 1):
+                if a <= last:
                     raise InvariantViolation(f"vertex {u}: chain not increasing at {slot(a)}")
                 if prv[a] != prev:
                     raise InvariantViolation(
                         f"vertex {u}: prv[{slot(a)}]={slot(prv[a])}, expected {slot(prev)}"
                     )
-                chain.append(a)
                 live[a] = 1
-                prev = a
+                prev = last = a
                 a = nxt[a]
             if a != h:
                 went = ("arc (source %d, slot %d)" % arc_slot(off, a) if a < m
@@ -186,21 +196,26 @@ class InvariantMonitor:
                 raise InvariantViolation(
                     f"vertex {u}: prv[{slot(h)}]={slot(prv[h])}, expected {slot(prev)}"
                 )
-            for a in range(lo, hi):
-                if live[a] and flags[a]:
-                    raise InvariantViolation(
-                        f"vertex {u}: eliminated slot {a - lo} reappeared in the live chain"
-                    )
-                if not live[a] and not flags[a]:
-                    raise InvariantViolation(
-                        f"vertex {u}: slot {a - lo} vanished without being eliminated"
-                    )
-            for a in chain:
-                t = tgt[a]
-                live_in[t] += 1
-                if trav[t] != ABSENT:
-                    raise InvariantViolation(
-                        f"live arc {u}->{t} targets visited vertex {t}"
-                    )
+        # every arc is either in its chain or flagged eliminated, never both:
+        # one complement test in C, and a scan for the first culprit if not.
+        # It runs before the target test below, because an eliminated arc
+        # targets a visited vertex: one relinked is named as reappeared.
+        flags = self._eliminated
+        if live.translate(_FLIP) != flags:
+            a = list(map(eq, live, flags)).index(True)
+            u, s = arc_slot(off, a)
+            if live[a]:
+                raise InvariantViolation(
+                    f"vertex {u}: eliminated slot {s} reappeared in the live chain"
+                )
+            raise InvariantViolation(f"vertex {u}: slot {s} vanished without being eliminated")
+        live_in = array(ID, [0]) * eg.n
+        for a in compress(range(m), live):  # the live arcs, vertex by vertex
+            t = tgt[a]
+            if trav[t] != ABSENT:
+                raise InvariantViolation(
+                    f"live arc {arc_slot(off, a)[0]}->{t} targets visited vertex {t}"
+                )
+            live_in[t] += 1
         if live_in != self._live_in:
             raise InvariantViolation("live-in counts disagree with the link chains")

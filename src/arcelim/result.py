@@ -112,8 +112,12 @@ class TraversalResult:
 
     def visited(self) -> list[int]:
         """Vertex ids with a traversal number, in visit order."""
-        order = [v for v, t in enumerate(self.traversal) if t is not None]
-        order.sort(key=lambda v: self.traversal[v])
+        # the cells hold 0 .. visited_count - 1, one per visited vertex:
+        # invert that permutation
+        order = [0] * self.visited_count
+        for v, t in enumerate(self.traversal._cells):
+            if t != ABSENT:
+                order[t] = v
         return order
 
     def serialize(self) -> str:

@@ -239,6 +239,37 @@ class TestWriteValidation:
             eng.par_for(1, each(lambda i: eng.log_write(("cell",))))
             eng.par_for(1, each(lambda i: eng.log_write(("cell",))))
 
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_two_equal_cells_fail_their_block(self, backend):
+        """The shortest log that can repeat a cell is checked."""
+        with ParEngine(2, backend=backend, validate_writes=True) as eng:
+            eng.par_for(2, each(lambda i: eng.log_write(i)))
+            with pytest.raises(DisjointWriteViolation) as info:
+                eng.par_for(2, each(lambda i: eng.log_write(7)))
+        assert info.value.cell == 7
+
+    def test_one_cell_block_keeps_its_log(self):
+        """A log of one cell is not checked, but is kept until the next
+        block as every log is."""
+        with ParEngine(2, validate_writes=True) as eng:
+            eng.par_for(1, each(lambda i: eng.log_write(("cell", i))))
+            assert eng._write_log == [("cell", 0)]
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_block_after_a_failed_body_starts_with_an_empty_log(self, backend):
+        with ParEngine(2, backend=backend, validate_writes=True) as eng:
+
+            def fail_after_logging(i):
+                eng.log_write(i)
+                raise RuntimeError("boom")
+
+            with pytest.raises(RuntimeError, match="boom"):
+                eng.par_for(4, each(fail_after_logging))
+            assert eng._write_log
+            # the failed block's cells 0 and 2 would repeat these
+            eng.par_for(3, each(lambda i: eng.log_write(i)))
+            assert sorted(eng._write_log) == [0, 1, 2]
+
 
 def _raiser(index, exc):
     def body(i):

@@ -22,6 +22,7 @@ from arcelim import (
     path,
     sample9,
 )
+from arcelim.elim import arc_slot
 from arcelim.result import ABSENT
 
 
@@ -106,7 +107,23 @@ class TestViolationsCaught:
         monitor, eg = attached()
         eg.eliminate(eg.off[0] + 1)
         with pytest.raises(InvariantViolation, match=r"source 0, slot 1\) eliminated twice"):
-            monitor.on_eliminate(eg.off[0] + 1)
+            monitor.on_eliminate((eg.off[0] + 1,))
+
+    def test_double_elimination_inside_a_block(self):
+        # vertex 0's four incoming arcs, as its visit reports them: the
+        # first and the last unlinked behind the monitor's back, the second
+        # already eliminated and reported
+        monitor, eg = attached()
+        block = eg.in_arc[eg.in_off[0]:eg.in_off[1]]
+        eg.eliminate(block[1])
+        eg.monitor = None
+        eg.eliminate(block[0])
+        eg.eliminate(block[3])
+        eg.monitor = monitor
+        with pytest.raises(InvariantViolation,
+                           match=r"source %d, slot %d\) eliminated twice" % arc_slot(eg.off, block[1])):
+            monitor.on_eliminate(block)
+        assert monitor.stats["eliminations"] == 1
 
     @pytest.mark.parametrize("slot", [0, 1, 3])
     def test_report_of_a_still_linked_arc(self, slot):
@@ -117,7 +134,7 @@ class TestViolationsCaught:
             InvariantViolation,
             match=rf"source 0, slot {slot}\) reported eliminated but still linked",
         ):
-            monitor.on_eliminate(eg.off[0] + slot)
+            monitor.on_eliminate((eg.off[0] + slot,))
         assert monitor.stats["eliminations"] == 0
 
     def test_structural_scan_sees_relinked_slot(self):
@@ -137,6 +154,30 @@ class TestViolationsCaught:
         eg.prv[eg.off[0] + 1] = eg.m
         with pytest.raises(InvariantViolation, match="slot 0 vanished"):
             monitor.verify_structure()
+
+    def test_structural_scan_names_a_vanished_slot_past_vertex_0(self):
+        monitor, eg = attached()
+        a16, a17, a18, _ = range(eg.off[5], eg.off[6])
+        # unlink vertex 5's slot 1 by hand without telling the monitor
+        eg.nxt[a16] = a18
+        eg.prv[a18] = a16
+        with pytest.raises(InvariantViolation) as exc:
+            monitor.verify_structure()
+        assert str(exc.value) == "vertex 5: slot 1 vanished without being eliminated"
+
+    def test_structural_scan_names_a_reappeared_slot_past_vertex_0(self):
+        # after a whole search every arc is eliminated and targets a visited
+        # vertex; the relinked slot is named as such, not as a live arc
+        # into a visited vertex
+        monitor, eg = attached()
+        dfs(eg, 0)
+        a18 = eg.off[5] + 2
+        h = eg.m + 5
+        eg.nxt[h] = eg.prv[h] = a18
+        eg.nxt[a18] = eg.prv[a18] = h
+        with pytest.raises(InvariantViolation) as exc:
+            monitor.verify_structure()
+        assert str(exc.value) == "vertex 5: eliminated slot 2 reappeared in the live chain"
 
     def test_structural_scan_sees_live_arc_into_visited(self):
         monitor, eg = attached()
@@ -224,15 +265,19 @@ class TestDriverSideReports:
     def test_threaded_reports_come_from_the_driver(self, search, p):
         monitor = InvariantMonitor()
         callers = []
+        reported = []
         record = monitor.on_eliminate
 
-        def on_eliminate(arc):
+        def on_eliminate(arcs):
             callers.append(threading.get_ident())
-            record(arc)
+            reported.append(len(arcs))
+            record(arcs)
 
         monitor.on_eliminate = on_eliminate
         with ParEngine(p, backend=THREADED) as engine:
             eg = ElimGraph.build(sample9(), engine, monitor=monitor)
             search(eg, 0, engine=engine)
-        assert len(callers) == monitor.stats["eliminations"] == 24
+        # one call per visit's block, carrying all of the block's arcs
+        assert len(callers) == 9
+        assert sum(reported) == monitor.stats["eliminations"] == 24
         assert set(callers) == {threading.get_ident()}
