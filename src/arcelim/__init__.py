@@ -18,6 +18,7 @@ from .errors import (
     EdgeListSyntaxError,
     ElimGraphReused,
     GraphError,
+    GraphTooLarge,
     InvalidStart,
     InvariantViolation,
     TargetNotInteger,
@@ -65,6 +66,7 @@ __all__ = [
     "ElimGraphReused",
     "Graph",
     "GraphError",
+    "GraphTooLarge",
     "InvalidStart",
     "InvariantMonitor",
     "InvariantViolation",

@@ -97,7 +97,9 @@ class ElimGraph:
         if engine is None:
             engine = ParEngine()
         # untimed pre-pass: zeroed state arrays, and in_off shifted up one so
-        # that in_off[v + 1] is v's first slot, the cursor its arc blocks advance
+        # that in_off[v + 1] is v's first slot, the cursor its arc blocks
+        # advance; every array is made at its exact size, where one grown
+        # from an iterator would keep spare room for the whole solve
         n, m = graph.num_vertices, graph.num_arcs
         self.n = n
         self.m = m
@@ -106,10 +108,9 @@ class ElimGraph:
         counts = [0] * n
         for v in tgt:
             counts[v] += 1
-        self.in_off = in_off = array(ID, accumulate(counts, initial=0))
+        self.in_off = in_off = array(ID, [0]) * (n + 1)
+        in_off[2:] = array(ID, accumulate(counts[:-1]))
         del counts
-        in_off.pop()  # the total, where the last cursor ends
-        in_off.insert(0, 0)
         self.in_arc = in_arc = array(ID, [0]) * m
         self.nxt = nxt = array(ID, [0]) * (m + n)
         self.prv = prv = array(ID, [0]) * (m + n)

@@ -77,6 +77,20 @@ class CountMismatch(GraphError):
         super().__init__(f"header declares {declared} arcs, file has {seen}")
 
 
+class GraphTooLarge(GraphError):
+    """An edge-list header declares more vertices or arcs than 32-bit ids number.
+
+    Vertex ids must stay below the absent marker 0xFFFFFFFF, and a search
+    structure numbers its m arc nodes and n head nodes with ids below 2**32.
+    Raised at the header, before anything is allocated for the graph.
+    """
+
+    def __init__(self, num_vertices: int, num_arcs: int, message: str):
+        self.num_vertices = num_vertices
+        self.num_arcs = num_arcs
+        super().__init__(message)
+
+
 class AlreadyEliminated(GraphError):
     """eliminate() was called on a slot that is no longer live.
 

@@ -15,25 +15,37 @@ break on repeated arcs.
 The same adjacency is held twice, and both are read-only:
 
 * ``out_lists``, a tuple of per-vertex target tuples holding the very int
-  objects the caller passed in, for the sequential readers (the oracle,
-  the serializer);
+  objects the caller passed in, read by the oracle and by readers outside
+  the package;
 * ``off`` (n+1) and ``tgt`` (m), compressed sparse rows as unsigned
   ``array(ID)``, the one typecode of every stored vertex and arc id: u's
   targets are ``tgt[off[u]:off[u+1]]``, and arc ids are positions in ``tgt``.
   Every search structure built over the graph shares these two arrays
-  instead of copying them, so a caller must never write to them.
+  instead of copying them, so a caller must never write to them.  The
+  serializer reads them too.
+
+The edge-list reader and writer do their per-arc work in C: the writer
+formats every arc with one ``%``, and the reader takes the writer's own
+(canonical) form with whole-text operations, leaving every other text, and
+every error, to a line-by-line parser.
 """
 from __future__ import annotations
 
+import json
 from array import array
-from itertools import accumulate
-from operator import index
+from itertools import accumulate, chain, groupby, islice
+from operator import index, mul, sub
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSyntaxError,
-                     TargetNotInteger, TargetOutOfRange, TargetOutOfRangeLine)
+                     GraphTooLarge, TargetNotInteger, TargetOutOfRange, TargetOutOfRangeLine)
 
 ID = "I"  # array typecode of arc and vertex ids
+# the most vertices an id of that type numbers: ids run to n - 1, and
+# 0xFFFFFFFF is the result cells' absent marker
+MAX_VERTICES = 0xFFFFFFFE
+# the most list nodes a search structure numbers: m arcs and n head nodes
+MAX_NODES = 1 << 32
 
 
 class Graph:
@@ -132,10 +144,89 @@ def parse_edge_list(text: str) -> Graph:
     lines, trailing whitespace, and CRLF endings are tolerated.  Exactly m
     arc lines are required.  Duplicate arcs and out-of-range targets raise
     EdgeListSyntaxError subclasses (also DuplicateArc / TargetOutOfRange)
-    naming the offending line.
+    naming the offending line.  A header beyond 32-bit ids raises
+    GraphTooLarge before anything is allocated for the graph.
+
+    The canonical form, the one serialize_edge_list writes, is read first
+    with whole-text operations; any other text, and every error, goes
+    through the line-by-line parser.  Both give the same lists for any text
+    the first accepts, and end in the same ``Graph`` call.
+    """
+    lists = _canonical_lists(text)
+    if lists is None:
+        lists = _line_lists(text)
+    try:
+        return Graph(lists)
+    except DuplicateArc as err:
+        at = [no for no, u, v in _arc_lines(text) if (u, v) == (err.source, err.target)]
+        raise DuplicateArcLine(at[1], err.source, err.target) from None
+    except TargetOutOfRange as err:
+        at = [no for no, u, _ in _arc_lines(text) if u == err.source]
+        raise TargetOutOfRangeLine(at[err.slot], err.source, err.slot, err.target,
+                                   err.num_vertices) from None
+
+
+def _check_header(n: int, m: int) -> None:
+    """Raise GraphTooLarge if n vertices and m arcs do not fit ``ID``."""
+    if n > MAX_VERTICES:
+        raise GraphTooLarge(n, m, f"header declares {n} vertices; at most {MAX_VERTICES} "
+                                  f"fit below the absent id {MAX_VERTICES + 1}")
+    if n + m > MAX_NODES:
+        raise GraphTooLarge(n, m, f"header declares {n} vertices and {m} arcs; n + m may be "
+                                  f"at most {MAX_NODES}, the number of 32-bit list node ids")
+
+
+def _canonical_lists(text: str) -> list[tuple[int, ...]] | None:
+    """Per-vertex target tuples of a text in canonical form, else None.
+
+    Canonical: a header equal to ``f"{n} {m}"``, then exactly m lines
+    ``u v\\n`` of decimal digits whose sources never fall.  One comparison
+    proves the line shape: deleting the digits from the body leaves one
+    space and one newline per arc.  The tokens are then digit strings, and
+    a JSON array reads them all in C; it refuses an empty token and a
+    leading zero, and reads every other one as ``int()`` does, so the
+    values are the line parser's.  Sources must rise strictly from run to
+    run and stay below n; then each run is one slice of the targets.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        n, m = map(int, head.split(" "))
+    except ValueError:
+        return None
+    if head != f"{n} {m}" or n < 0 or m < 0:
+        return None
+    _check_header(n, m)
+    if not body.isascii() or body[-1:] != ("\n" if m else ""):
+        return None
+    shape = body.encode().translate(None, b"0123456789")
+    if len(shape) != 2 * m or shape != b" \n" * m:
+        return None
+    try:
+        ints = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    targets = tuple(islice(ints, 1, None, 2))
+    lists: list[tuple[int, ...]] = [()] * n
+    end, last = 0, -1
+    for u, run in groupby(islice(ints, 0, None, 2)):
+        if not last < u < n:
+            return None
+        start, end = end, end + len(list(run))
+        lists[u] = targets[start:end]
+        last = u
+    return lists
+
+
+def _line_lists(text: str) -> list[list[int]]:
+    """Per-vertex target lists of any edge-list text, read line by line;
+    raises the EdgeListSyntaxError or CountMismatch the text earns.
+
+    Arcs are read before any per-vertex storage is allocated, so a header
+    that promises more than the text holds costs nothing per vertex.
     """
     header: tuple[int, int] | None = None
-    lists: list[list[int]] = []
+    sources = array(ID)
+    targets: list[int] = []
     seen = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -151,8 +242,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListSyntaxError(line_no, f"non-integer header {line!r}") from None
             if n < 0 or m < 0:
                 raise EdgeListSyntaxError(line_no, f"negative count in header {line!r}")
+            _check_header(n, m)
             header = (n, m)
-            lists = [[] for _ in range(n)]
             continue
         if len(fields) != 2:
             raise EdgeListSyntaxError(line_no, f"expected 'u v' arc, got {line!r}")
@@ -164,20 +255,16 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListSyntaxError(line_no, f"source {u} out of range")
         seen += 1
         if seen <= header[1]:
-            lists[u].append(v)
+            sources.append(u)
+            targets.append(v)
     if header is None:
         raise EdgeListSyntaxError(0, "empty input, missing 'n m' header")
     if seen != header[1]:
         raise CountMismatch(header[1], seen)
-    try:
-        return Graph(lists)
-    except DuplicateArc as err:
-        at = [no for no, u, v in _arc_lines(text) if (u, v) == (err.source, err.target)]
-        raise DuplicateArcLine(at[1], err.source, err.target) from None
-    except TargetOutOfRange as err:
-        at = [no for no, u, _ in _arc_lines(text) if u == err.source]
-        raise TargetOutOfRangeLine(at[err.slot], err.source, err.slot, err.target,
-                                   err.num_vertices) from None
+    lists: list[list[int]] = [[] for _ in range(header[0])]
+    for u, v in zip(sources, targets):
+        lists[u].append(v)
+    return lists
 
 
 def _arc_lines(text: str) -> Iterable[tuple[int, int, int]]:
@@ -191,7 +278,14 @@ def _arc_lines(text: str) -> Iterable[tuple[int, int, int]]:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list; adjacency order is preserved."""
-    lines = [f"{g.num_vertices} {g.num_arcs}"]
-    lines.extend(f"{u} {v}" for u, v in g.arcs())
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_edge_list, in its canonical form: adjacency order is
+    preserved and sources ascend.
+
+    Reads the CSR arrays: each source id, repeated by its out-degree
+    ``off[u+1] - off[u]``, is paired with its targets in ``tgt``, and one
+    ``%`` formats every pair in C.
+    """
+    n, m, off = g.num_vertices, g.num_arcs, g.off
+    # (u,) * outdegree(u), flattened: the source of every arc, in arc order
+    sources = chain.from_iterable(map(mul, zip(range(n)), map(sub, off[1:], off)))
+    return f"{n} {m}\n" + "%d %d\n" * m % tuple(chain.from_iterable(zip(sources, g.tgt)))

@@ -191,6 +191,18 @@ class TestSharedAdjacency:
         assert own <= kept <= own + 4096
 
 
+    @pytest.mark.parametrize("g", [path(1000), gnm(300, 2000, seed=1), Graph([[]]), Graph([])],
+                             ids=repr)
+    def test_state_arrays_have_no_spare_room(self, g):
+        """Every kept array is allocated at its exact size: an array grown
+        from an iterator keeps room for more cells for the whole solve."""
+        eg = ElimGraph(g)
+        n, m = g.num_vertices, g.num_arcs
+        for name, cells in (("in_off", n + 1), ("in_arc", m), ("nxt", m + n), ("prv", m + n),
+                            ("traversal", n), ("distance", n), ("parent", n)):
+            assert sys.getsizeof(getattr(eg, name)) == sys.getsizeof(array(ID, [0]) * cells), name
+
+
 class TestEliminate:
     def test_unlink_middle_slot(self):
         eg = ElimGraph.build(sample9())

@@ -1,8 +1,9 @@
 import gc
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arcelim import (
     CountMismatch,
@@ -10,13 +11,17 @@ from arcelim import (
     EdgeListSyntaxError,
     Graph,
     GraphError,
+    GraphTooLarge,
     TargetNotInteger,
     TargetOutOfRange,
+    generators,
     gnm,
+    graph,
     parse_edge_list,
     sample9,
     serialize_edge_list,
 )
+from arcelim.cli import FAMILIES
 
 
 EXTREME_INTS = [2**31 - 1, 2**31, -2**31, -2**31 - 1, 2**40, -2**40]
@@ -240,3 +245,224 @@ class TestSetUpMemory:
         finally:
             tracemalloc.stop()
         assert (peak - kept) / g.num_arcs <= 0.5
+
+
+def reference_serialize(g):
+    """The per-arc writer: one f-string per ``arcs()`` tuple.  The
+    serializer must give exactly these bytes."""
+    lines = [f"{g.num_vertices} {g.num_arcs}"]
+    lines.extend(f"{u} {v}" for u, v in g.arcs())
+    return "\n".join(lines) + "\n"
+
+
+# one small instance of every generator family, the CLI's table
+FAMILY_GRAPHS = {
+    "gnm": [gnm(50, 300, seed=s) for s in (1, 2)] + [gnm(1, 0, seed=3), gnm(2, 2, seed=4)],
+    "complete": [generators.complete(1), generators.complete(12)],
+    "path": [generators.path(1), generators.path(2), generators.path(1002)],
+    "star_out": [generators.star_out(1), generators.star_out(1001)],
+    "layered_dag": [generators.layered_dag(4, 5, seed=1), generators.layered_dag(1, 1, seed=2)],
+    "sample9": [sample9()],
+}
+
+# ids on both sides of each power of ten, as sources and as targets
+POWERS_OF_TEN = Graph([[10], [], [], [], [], [], [], [], [], [99, 100]]
+                      + [[] for _ in range(89)] + [[1000, 9]] + [[] for _ in range(899)]
+                      + [[1000, 999], [0]])
+
+
+class TestSerializeBytes:
+    def test_every_family_is_covered(self):
+        assert set(FAMILY_GRAPHS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("g", [g for gs in FAMILY_GRAPHS.values() for g in gs], ids=repr)
+    def test_families(self, g):
+        assert serialize_edge_list(g) == reference_serialize(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph([]),
+        Graph([[]]),
+        Graph([[0]]),
+        Graph([[] for _ in range(5)]),  # m = 0
+        Graph([[], [3, 0], [], [], [1], []]),  # isolated vertices, first and last too
+        POWERS_OF_TEN,
+    ], ids=repr)
+    def test_edge_shapes(self, g):
+        assert serialize_edge_list(g) == reference_serialize(g)
+
+    @given(adjacency_lists(max_n=12))
+    def test_random(self, lists):
+        g = Graph(lists)
+        assert serialize_edge_list(g) == reference_serialize(g)
+
+
+def outcome(text):
+    """What ``parse_edge_list`` makes of ``text``: the graph, or the
+    error's type and message."""
+    try:
+        return parse_edge_list(text)
+    except GraphError as err:
+        return type(err), str(err)
+
+
+def line_parser_outcome(text):
+    """``outcome`` with the canonical reader switched off, so that every
+    text goes through the line parser."""
+    with mock.patch.object(graph, "_canonical_lists", lambda text: None):
+        return outcome(text)
+
+
+def _token_edit(edit):
+    def perturb(lines, i, n):
+        u, v = lines[i].split(" ")
+        lines[i] = f"{u} {edit(v, n)}" if i % 2 else f"{edit(u, n)} {v}"
+    return perturb
+
+
+def _swap(lines, i, n):
+    # with the next arc line: "u a, u b, w c" becomes "u a, w c, u b", which
+    # splits u's run of lines in two
+    j = 1 + i % (len(lines) - 1)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _move_token_up(lines, i, n):
+    # "u v\nx y" -> "u v x\ny": the same tokens, a 3-token and a 1-token line
+    if i + 1 < len(lines):
+        x, y = lines[i + 1].split(" ")
+        lines[i], lines[i + 1] = f"{lines[i]} {x}", y
+
+
+def _duplicate(lines, i, n):
+    lines.insert(i, lines[i])
+    lines[0] = f"{n} {len(lines) - 1}"
+
+
+def _recount(delta):
+    def perturb(lines, i, n):
+        lines[0] = f"{n} {len(lines) - 1 + delta}"
+    return perturb
+
+
+# each edits the lines of a canonical text (header first) at arc line i;
+# the text is then joined with "\n" and a final newline
+PERTURBATIONS = {
+    "comment": lambda lines, i, n: lines.insert(i, "# a comment"),
+    "blank line": lambda lines, i, n: lines.insert(i, ""),
+    "tab": lambda lines, i, n: lines.__setitem__(i, lines[i].replace(" ", "\t")),
+    "trailing space": lambda lines, i, n: lines.__setitem__(i, lines[i] + " "),
+    "leading zero": _token_edit(lambda t, n: "0" + t),
+    "plus sign": _token_edit(lambda t, n: "+" + t),
+    "out of range": _token_edit(lambda t, n: str(n)),
+    "negative": _token_edit(lambda t, n: "-1"),
+    "not an integer": _token_edit(lambda t, n: t + "x"),
+    "swapped lines": _swap,
+    "line moved last": lambda lines, i, n: lines.append(lines.pop(i)),
+    "duplicate arc": _duplicate,
+    "three tokens": lambda lines, i, n: lines.__setitem__(i, lines[i] + " 0"),
+    "token moved up": _move_token_up,
+    "too few arcs": _recount(-1),
+    "too many arcs": _recount(1),
+    "header zero": lambda lines, i, n: lines.__setitem__(0, "0" + lines[0]),
+}
+
+
+class TestParseCanonicalForm:
+    """The canonical reader gives exactly what the line parser gives."""
+
+    @given(adjacency_lists(max_n=12))
+    def test_serialized_text_is_read_by_the_canonical_reader(self, lists):
+        g = Graph(lists)
+        text = serialize_edge_list(g)
+        assert graph._canonical_lists(text) is not None
+        assert parse_edge_list(text) == g == line_parser_outcome(text)
+
+    @settings(max_examples=400)
+    @given(adjacency_lists(max_n=12), st.sampled_from(sorted(PERTURBATIONS)),
+           st.integers(0, 10**6), st.booleans(), st.booleans())
+    def test_perturbed_text_reads_as_the_line_parser_reads_it(
+            self, lists, name, at, crlf, final_newline):
+        g = Graph(lists)
+        lines = serialize_edge_list(g).splitlines()
+        if len(lines) > 1:
+            PERTURBATIONS[name](lines, 1 + at % (len(lines) - 1), g.num_vertices)
+        text = ("\r\n" if crlf else "\n").join(lines) + ("\n" if final_newline else "")
+        assert outcome(text) == line_parser_outcome(text)
+
+    @pytest.mark.parametrize("text", [
+        "3 3\n0 1\n1 2\n0 2\n",  # a source run split by another source
+        "3 2\n1 2\n0 1\n",  # sources fall
+        "3 2\n0 1\n00 2\n",  # one source written two ways
+        "3 2\n0 1\n0 02\n",  # a leading zero
+        "3 2\n0 1 1\n2\n",  # the right tokens on the wrong lines
+        "3 2\n0 1\n0 2",  # no final newline
+        "5 1\n1 2\n34",  # a token after the last newline
+        "8 1\n 5\n7",
+        "2 0\n5",
+        "3 2\n0 1\n-1 2\n",
+        "3 2\n0 1\n3 2\n",
+        "3 2\n0 1\n0 \u0662\n",  # a digit outside ASCII
+        "3 2\n0 1\n0 \udc802\n",  # a lone surrogate, as surrogateescape reads bytes
+        "2 1\n0 1\n\n",
+        "2 1\r\n0 1\r\n",
+        "02 1\n0 1\n",
+        "2 0\n\n",
+    ])
+    def test_texts_the_canonical_reader_hands_over(self, text):
+        assert graph._canonical_lists(text) is None
+        assert outcome(text) == line_parser_outcome(text)
+
+    def test_a_split_run_keeps_every_arc(self):
+        g = parse_edge_list("3 3\n0 1\n1 2\n0 2\n")
+        assert g.out_lists == ((1, 2), (2,), ())
+
+
+class TestParseBounds:
+    def test_short_body_allocates_nothing_per_vertex(self):
+        """A header that promises more than the text holds costs memory
+        in proportion to the text, not to n or m."""
+        for text in ("2000000 5\n0 1\n", "# comment\n2000000 5\n0 1\n", "2 3000000\n0 1\n"):
+            parse_edge_list("3 1\n0 1\n")  # warm the code paths
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with pytest.raises(CountMismatch):
+                    parse_edge_list(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    # each header names no arc line, so a parser that lost the check raises
+    # CountMismatch without allocating anything per vertex
+    @pytest.mark.parametrize("header, n, m, limit", [
+        ("4294967295 1", 4294967295, 1, "at most 4294967294"),
+        ("4294967296 1", 4294967296, 1, "at most 4294967294"),
+        ("4294967290 7", 4294967290, 7, "at most 4294967296"),
+        ("1 4294967296", 1, 4294967296, "at most 4294967296"),
+    ])
+    @pytest.mark.parametrize("prefix", ["", "# comment\n"])
+    def test_header_beyond_32_bit_ids(self, header, n, m, limit, prefix):
+        with pytest.raises(GraphTooLarge) as exc:
+            parse_edge_list(prefix + header + "\n")
+        assert (exc.value.num_vertices, exc.value.num_arcs) == (n, m)
+        assert limit in str(exc.value)
+
+    @pytest.mark.parametrize("limit, value", [("MAX_VERTICES", 99), ("MAX_NODES", 100)])
+    @pytest.mark.parametrize("prefix", ["", "# comment\n"])
+    def test_both_readers_check_the_header(self, limit, value, prefix):
+        """With the limits lowered, a header just past one raises from the
+        canonical reader and from the line parser alike, however complete
+        the arcs that follow."""
+        g = generators.path(100)
+        with mock.patch.object(graph, limit, value):
+            with pytest.raises(GraphTooLarge):
+                parse_edge_list(prefix + serialize_edge_list(g))
+            assert parse_edge_list(prefix + serialize_edge_list(generators.path(50))) \
+                == generators.path(50)
+
+    @pytest.mark.parametrize("header", ["4294967294 2", "2 4294967294"])
+    def test_header_at_the_limits_is_accepted(self, header):
+        # n + m == 2**32 fits; no arc line follows, so the count is short
+        with pytest.raises(CountMismatch):
+            parse_edge_list(header + "\n")
