@@ -2,10 +2,10 @@
 the sequential references, and emit cost-model benchmark tables.
 
 Exit codes are fixed for scripting: 0 success, 1 verification mismatch,
-2 bad input (unparsable file, invalid parameters, I/O failure), 141 the
-reader of standard output closed it early, as in ``arcelim run ... | head``
-(the status a shell reports for a process ended by SIGPIPE); nothing is
-printed then.
+2 bad input (unparsable file, invalid parameters, I/O failure), 3 out of
+memory (one ``error:`` line, no traceback), 141 the reader of standard
+output closed it early, as in ``arcelim run ... | head`` (the status a
+shell reports for a process ended by SIGPIPE); nothing is printed then.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .traverse import BFS, DFS, KINDS, bfs, dfs, verify_against_oracle
 
+OUT_OF_MEMORY = 3
 BROKEN_PIPE = 141
 
 CSV_COLUMNS = (
@@ -115,9 +116,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # -- run -----------------------------------------------------------------------
 
 
-def _run_traversal(
-    g: Graph, kind: str, start: int, a0: int, procs: int, mode: str, trace=None
-):
+def _run_traversal(g: Graph, kind: str, start: int, a0: int, procs: int, mode: str):
     """Build the search structure and run one traversal on one engine.
 
     Returns (result, build-phase report, the closed engine, wall
@@ -128,17 +127,18 @@ def _run_traversal(
         eg = ElimGraph.build(g, engine)
         build = engine.report()
         run = dfs if kind == DFS else bfs
-        result = run(eg, start, a0, engine, trace)
+        result = run(eg, start, a0, engine)
         wall = time.perf_counter_ns() - t0
     return result, build, engine, wall
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     result, build, engine, _ = _run_traversal(
-        g, args.kind, args.start, args.a0, args.procs, args.mode, trace
+        g, args.kind, args.start, args.a0, args.procs, args.mode
     )
+    if args.trace:
+        print(*result.trace(), sep="\n", file=sys.stderr)
     total = engine.report()
     sys.stdout.write(result.serialize())
     sys.stdout.write(
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--procs", type=int, default=1)
     run.add_argument("--mode", choices=[SIMULATED, THREADED], default=SIMULATED)
     run.add_argument(
-        "--trace", action="store_true", help="log each visit to stderr as it happens"
+        "--trace", action="store_true", help="log each visit to stderr once the run returns"
     )
     run.set_defaults(func=cmd_run)
 
@@ -316,6 +316,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return OUT_OF_MEMORY
     return code
 
 

@@ -90,12 +90,13 @@ class ElimGraph:
         sized by an untimed pre-pass, so the timed phase never reallocates.
         ``monitor``, if given, watches this structure from then on; one
         that already watches another raises ValueError before any block
-        is charged to ``engine``.
+        is charged to ``engine``, which a traversal given no engine charges.
         """
         if monitor is not None:
             monitor.check_unattached()
         if engine is None:
             engine = ParEngine()
+        self.engine = engine
         # untimed pre-pass: zeroed state arrays, and in_off shifted up one so
         # that in_off[v + 1] is v's first slot, the cursor its arc blocks
         # advance; every array is made at its exact size, where one grown

@@ -35,7 +35,7 @@ import json
 from array import array
 from itertools import accumulate, chain, groupby, islice
 from operator import index, mul, sub
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSyntaxError,
                      GraphTooLarge, TargetNotInteger, TargetOutOfRange, TargetOutOfRangeLine)
@@ -81,10 +81,10 @@ class Graph:
                 yield u, t
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.out_lists == other.out_lists
+        return isinstance(other, Graph) and self.off == other.off and self.tgt == other.tgt
 
     def __hash__(self) -> int:
-        return hash(self.out_lists)
+        return hash((self.off.tobytes(), self.tgt.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_arcs})"
@@ -224,56 +224,61 @@ def _line_lists(text: str) -> list[list[int]]:
     Arcs are read before any per-vertex storage is allocated, so a header
     that promises more than the text holds costs nothing per vertex.
     """
-    header: tuple[int, int] | None = None
+    records = _records(text)
+    line_no, line = next(records, (0, None))
+    if line is None:
+        raise EdgeListSyntaxError(0, "empty input, missing 'n m' header")
+    fields = line.split()
+    if len(fields) != 2:
+        raise EdgeListSyntaxError(line_no, f"expected 'n m' header, got {line!r}")
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise EdgeListSyntaxError(line_no, f"non-integer header {line!r}") from None
+    if n < 0 or m < 0:
+        raise EdgeListSyntaxError(line_no, f"negative count in header {line!r}")
+    _check_header(n, m)
     sources = array(ID)
     targets: list[int] = []
     seen = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in records:
         fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise EdgeListSyntaxError(line_no, f"expected 'n m' header, got {line!r}")
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise EdgeListSyntaxError(line_no, f"non-integer header {line!r}") from None
-            if n < 0 or m < 0:
-                raise EdgeListSyntaxError(line_no, f"negative count in header {line!r}")
-            _check_header(n, m)
-            header = (n, m)
-            continue
         if len(fields) != 2:
             raise EdgeListSyntaxError(line_no, f"expected 'u v' arc, got {line!r}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise EdgeListSyntaxError(line_no, f"non-integer arc {line!r}") from None
-        if not 0 <= u < header[0]:
+        if not 0 <= u < n:
             raise EdgeListSyntaxError(line_no, f"source {u} out of range")
         seen += 1
-        if seen <= header[1]:
+        if seen <= m:
             sources.append(u)
             targets.append(v)
-    if header is None:
-        raise EdgeListSyntaxError(0, "empty input, missing 'n m' header")
-    if seen != header[1]:
-        raise CountMismatch(header[1], seen)
-    lists: list[list[int]] = [[] for _ in range(header[0])]
+    if seen != m:
+        raise CountMismatch(m, seen)
+    lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(sources, targets):
         lists[u].append(v)
     return lists
 
 
-def _arc_lines(text: str) -> Iterable[tuple[int, int, int]]:
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of every edge-list line that is neither
+    blank nor a ``#`` comment: the header first, then the arcs."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _arc_lines(text: str) -> Iterator[tuple[int, int, int]]:
     """(line number, source, target) of every arc line of an edge list that
     parse_edge_list already read; used only to locate a rejected arc."""
-    records = ((line_no, raw.split()) for line_no, raw in enumerate(text.splitlines(), start=1)
-               if raw.strip() and not raw.strip().startswith("#"))
+    records = _records(text)
     next(records)  # the header
-    for line_no, (u, v) in records:
+    for line_no, line in records:
+        u, v = line.split()
         yield line_no, int(u), int(v)
 
 

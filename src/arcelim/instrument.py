@@ -16,12 +16,14 @@ Two levels trade cost for directness:
   check; finish() is one structural audit, verifying that the link chains
   agree with the bookkeeping.  Cheap enough for large randomized sweeps.
 * ``paranoid``: additionally re-walks every live chain after every visit
-  and checks the level-queue properties of breadth-first runs (members of
-  the current queue share one distance; no live arc connects two members
-  of the next-level queue).  Quadratic; meant for small graphs.
+  and checks each breadth-first level's next queue once, as the level
+  ends: no live arc connects two of its members, and all of them sit at
+  the level's distance.  Quadratic; meant for small graphs.
 
-Every hook runs on the sequential driver, never inside a block: after each
-visit's elimination block has joined, the driver reports the block's arcs
+Every hook runs on the sequential driver, never inside a block, and the
+monitor is the drivers' one observer: one ``after_visit`` per visit, one
+``after_level`` per breadth-first level, and ``finish`` at the end.  After
+each visit's elimination block has joined, the block's arcs are reported
 in one call, and the monitor checks, arc by arc, that each is unlinked.  A
 step that was charged but never ran is therefore caught at that visit, not
 at finish().  The structural audit compares chain membership with the
@@ -120,21 +122,9 @@ class InvariantMonitor:
         if self.level == PARANOID:
             self.verify_structure()
 
-    def before_level(self, level: int, queue: Iterable[int]) -> None:
-        """Entry of one breadth-first level: every queue member sits at
-        distance level - 1."""
-        if self.level != PARANOID:
-            return
-        self.stats["level_checks"] += 1
-        distances = {self.eg.distance[u] for u in queue}
-        if distances and distances != {level - 1}:
-            raise InvariantViolation(
-                f"level {level} queue holds distances {sorted(distances)}, "
-                f"expected {{{level - 1}}}"
-            )
-
     def after_level(self, level: int, next_queue: Iterable[int]) -> None:
-        """End of one breadth-first level: no live arc inside the next queue."""
+        """End of one breadth-first level: no live arc inside the next
+        queue, and every member of it at distance ``level``."""
         if self.level != PARANOID:
             return
         self.stats["level_checks"] += 1
@@ -145,6 +135,12 @@ class InvariantMonitor:
                     raise InvariantViolation(
                         f"live arc {u}->{t} connects two level-{level} discoveries"
                     )
+        distances = {self.eg.distance[u] for u in members}
+        if distances and distances != {level}:
+            raise InvariantViolation(
+                f"level-{level} discoveries hold distances {sorted(distances)}, "
+                f"expected {{{level}}}"
+            )
 
     def finish(self) -> None:
         """End-of-traversal structural audit (all levels): verify_structure()."""

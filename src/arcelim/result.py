@@ -120,6 +120,19 @@ class TraversalResult:
                 order[t] = v
         return order
 
+    def trace(self) -> Iterator[str]:
+        """One line ``visit v number=t level=d`` per visited vertex, in
+        visit order, where d is v's depth in the search forest, counted
+        along ``parent`` from its root at 0; in a breadth-first run that
+        is v's distance."""
+        a = self.traversal._base
+        parent = self.parent._cells
+        depth = [0] * len(parent)  # filled in visit order: a parent comes before its child
+        for t, v in enumerate(self.visited()):
+            p = parent[v]
+            d = depth[v] = 0 if p == ABSENT else depth[p] + 1
+            yield f"visit {v} number={a + t} level={d}"
+
     def serialize(self) -> str:
         """One line per vertex: ``v traversal parent distance``, absent
         fields as ``-``, sorted by vertex id."""

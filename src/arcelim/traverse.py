@@ -18,6 +18,12 @@ k vertices over L breadth-first levels (max distance + 1) charges exactly
 3k - 1 units (depth-first) or 5k - 1 + L (breadth-first); a sweep of n
 vertices with R roots charges 3n - R, or 5n - R plus the sum of L over the
 roots' trees.
+
+A run is charged to ``engine``, by default the one its structure was built
+on; a threaded engine closed before the run restarts a pool that nothing
+closes, so pass ``engine=`` or traverse inside the engine's ``with``.  The
+drivers' one observer is the structure's monitor, if any: one call per
+visit, one per breadth-first level.  A trace is read from the result.
 """
 from __future__ import annotations
 
@@ -37,14 +43,8 @@ DFS = "dfs"
 BFS = "bfs"
 KINDS = (DFS, BFS)
 
-Trace = Callable[[str], None]
-# what a driver reports of each visit when tracing: the vertex, its visit
-# number less the run's first number, and its level
-Note = Callable[[int, int, int], None]
 
-
-def _visit(eg: ElimGraph, v: int, parent: int, k: int, level: int,
-           engine: ParEngine, note: Optional[Note]) -> int:
+def _visit(eg: ElimGraph, v: int, parent: int, k: int, engine: ParEngine) -> int:
     """One visit, the unit step of both drivers: eliminate v's incoming arcs
     in one block, number v ``k`` and record its parent (ABSENT for a
     root).  Returns k + 1; the caller counts the visit's driver step."""
@@ -53,14 +53,12 @@ def _visit(eg: ElimGraph, v: int, parent: int, k: int, level: int,
     eg.parent[v] = parent
     if eg.monitor is not None:
         eg.monitor.after_visit(v)
-    if note is not None:
-        note(v, k, level)
     return k + 1
 
 
-def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note]) -> int:
+def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
     m, nxt, tgt = eg.m, eg.nxt, eg.tgt
-    k = _visit(eg, s, ABSENT, k, 0, engine, note)
+    k = _visit(eg, s, ABSENT, k, engine)
     ticks = 1  # the visit of s
     stack = array(ID, [s])  # one 4-byte cell per frame, not an int object
     while stack:
@@ -72,19 +70,19 @@ def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note])
             continue
         w = tgt[a]
         # w is necessarily unvisited: a visited vertex has no live incoming arc
-        k = _visit(eg, w, v, k, len(stack), engine, note)
+        k = _visit(eg, w, v, k, engine)
         ticks += 1  # the visit of w
         stack.append(w)
     engine.seq_tick(ticks)
     return k
 
 
-def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note]) -> int:
+def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
     monitor = eg.monitor
     m, nxt, tgt, distance = eg.m, eg.nxt, eg.tgt, eg.distance
     level = 0
     distance[s] = 0
-    k = _visit(eg, s, ABSENT, k, 0, engine, note)
+    k = _visit(eg, s, ABSENT, k, engine)
     ticks = 1  # the visit of s
     q: deque[int] = deque([s])
     ticks += 1  # enqueue s
@@ -92,8 +90,6 @@ def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note])
     while q:
         level += 1
         ticks += 1  # level advance and queue swap
-        if monitor is not None:
-            monitor.before_level(level, q)
         while q:
             u = q.popleft()
             ticks += 1  # dequeue
@@ -104,7 +100,7 @@ def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note])
                     break
                 v = tgt[a]
                 distance[v] = level
-                k = _visit(eg, v, u, k, level, engine, note)
+                k = _visit(eg, v, u, k, engine)
                 ticks += 1  # the visit of v
                 q_next.append(v)
                 ticks += 1  # enqueue
@@ -115,11 +111,11 @@ def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine, note: Optional[Note])
     return k
 
 
-Driver = Callable[[ElimGraph, int, int, ParEngine, Optional[Note]], int]
+Driver = Callable[[ElimGraph, int, int, ParEngine], int]
 
 
 def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int,
-            engine: Optional[ParEngine], trace: Optional[Trace]) -> TraversalResult:
+            engine: Optional[ParEngine]) -> TraversalResult:
     """Run ``driver`` from every start that is still unvisited, numbering
     continuously from a, then close the monitor and collect the result."""
     if eg._traversed:
@@ -128,28 +124,19 @@ def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int,
         )
     eg._traversed = True
     if engine is None:
-        engine = ParEngine()
-    note = None
-    if trace is not None:
-        def note(v: int, k: int, level: int) -> None:
-            trace(f"visit {v} number={a + k} level={level}")
+        engine = eg.engine
     traversal = eg.traversal
     k = 0  # visits so far: the next visit number less a
     for s in starts:
         if traversal[s] == ABSENT:
-            k = driver(eg, s, k, engine, note)
+            k = driver(eg, s, k, engine)
     if eg.monitor is not None:
         eg.monitor.finish()
     return TraversalResult.collect(traversal, eg.parent, eg.distance, a + k, k)
 
 
-def dfs(
-    eg: ElimGraph,
-    s: int,
-    a: int = 0,
-    engine: Optional[ParEngine] = None,
-    trace: Optional[Trace] = None,
-) -> TraversalResult:
+def dfs(eg: ElimGraph, s: int, a: int = 0,
+        engine: Optional[ParEngine] = None) -> TraversalResult:
     """Ordered depth-first search from s, numbering from a.
 
     Recursion is replaced by an explicit stack; after a subtree returns,
@@ -159,16 +146,11 @@ def dfs(
     """
     if not 0 <= s < eg.n:
         raise InvalidStart(s, eg.n)
-    return _search(eg, (s,), _dfs, a, engine, trace)
+    return _search(eg, (s,), _dfs, a, engine)
 
 
-def bfs(
-    eg: ElimGraph,
-    s: int,
-    a: int = 0,
-    engine: Optional[ParEngine] = None,
-    trace: Optional[Trace] = None,
-) -> TraversalResult:
+def bfs(eg: ElimGraph, s: int, a: int = 0,
+        engine: Optional[ParEngine] = None) -> TraversalResult:
     """Ordered breadth-first search from s, numbering from a.
 
     Two-queue level structure: the current level is drained while
@@ -178,22 +160,17 @@ def bfs(
     """
     if not 0 <= s < eg.n:
         raise InvalidStart(s, eg.n)
-    return _search(eg, (s,), _bfs, a, engine, trace)
+    return _search(eg, (s,), _bfs, a, engine)
 
 
-def sweep(
-    eg: ElimGraph,
-    kind: str,
-    a: int = 0,
-    engine: Optional[ParEngine] = None,
-    trace: Optional[Trace] = None,
-) -> TraversalResult:
+def sweep(eg: ElimGraph, kind: str, a: int = 0,
+          engine: Optional[ParEngine] = None) -> TraversalResult:
     """Full-graph extension: restart the search on every still-unvisited
     vertex in id order, numbering continuously.  Parents form a forest,
     one tree per restart."""
     if kind not in KINDS:
         raise ValueError(f"unknown traversal kind {kind!r}")
-    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a, engine, trace)
+    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a, engine)
 
 
 @dataclass(frozen=True)

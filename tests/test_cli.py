@@ -32,6 +32,32 @@ SAMPLE_BFS_DUMP = (
     "8 8 7 4\n"
 )
 
+# run --trace's stderr on the sample graph: visit order, numbers, and the
+# depth of each vertex in the search tree
+SAMPLE_DFS_TRACE = (
+    "visit 0 number=0 level=0\n"
+    "visit 1 number=1 level=1\n"
+    "visit 5 number=2 level=2\n"
+    "visit 7 number=3 level=3\n"
+    "visit 8 number=4 level=4\n"
+    "visit 4 number=5 level=5\n"
+    "visit 3 number=6 level=6\n"
+    "visit 6 number=7 level=7\n"
+    "visit 2 number=8 level=3\n"
+)
+
+SAMPLE_BFS_TRACE = (
+    "visit 0 number=0 level=0\n"
+    "visit 1 number=1 level=1\n"
+    "visit 2 number=2 level=1\n"
+    "visit 3 number=3 level=1\n"
+    "visit 4 number=4 level=1\n"
+    "visit 5 number=5 level=2\n"
+    "visit 6 number=6 level=2\n"
+    "visit 7 number=7 level=3\n"
+    "visit 8 number=8 level=4\n"
+)
+
 
 @pytest.fixture()
 def sample_file(tmp_path):
@@ -134,6 +160,14 @@ class TestRun:
         assert len(lines) == 9
         assert lines[0] == "visit 0 number=0 level=0"
         assert "visit" not in captured.out
+
+    @pytest.mark.parametrize("kind, want", [("dfs", SAMPLE_DFS_TRACE), ("bfs", SAMPLE_BFS_TRACE)])
+    def test_full_trace(self, sample_file, capsys, kind, want):
+        assert main(["run", kind, sample_file, "--trace"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == want
+        assert captured.out.split("\n\n")[0] + "\n" == {"dfs": SAMPLE_DFS_DUMP,
+                                                        "bfs": SAMPLE_BFS_DUMP}[kind]
 
     def test_start_offset(self, sample_file, capsys):
         assert main(["run", "dfs", sample_file, "--start", "6", "--a0", "5"]) == 0
@@ -377,6 +411,18 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --kinds must name at least one kind\n"
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_3_with_one_line(self, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_read_graph", exhausted)
+        assert main(["run", "dfs", "any.txt"]) == cli.OUT_OF_MEMORY == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestBrokenPipe:

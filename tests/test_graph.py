@@ -225,6 +225,16 @@ class TestGraphObject:
         assert c == a
         assert hash(c) == hash(a)
 
+    def test_equality_is_ordered_adjacency(self):
+        """Equal graphs have equal ``off`` and ``tgt``: the same arcs in
+        another order, or the same arcs over more vertices, differ."""
+        assert Graph([[1, 2], [], []]) != Graph([[2, 1], [], []])
+        assert Graph([[]]) != Graph([[], []])
+        assert Graph([[], [0]]) != Graph([[1], []])
+        a, b = gnm(40, 200, 3), parse_edge_list(serialize_edge_list(gnm(40, 200, 3)))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+
     def test_arcs_iteration(self):
         g = Graph([[2, 1], [], [0]])
         assert list(g.arcs()) == [(0, 2), (0, 1), (2, 0)]

@@ -227,10 +227,11 @@ class TestViolationsCaught:
 
     def test_level_distance_mismatch(self):
         monitor, eg = attached(PARANOID)
+        eg.distance[1] = eg.distance[2] = 1
+        monitor.after_level(1, [1, 2])  # both discovered at level 1
         eg.distance[1] = 0
-        eg.distance[2] = 1
-        with pytest.raises(InvariantViolation, match="level"):
-            monitor.before_level(2, [1, 2])
+        with pytest.raises(InvariantViolation, match=r"distances \[0, 1\], expected \{1\}"):
+            monitor.after_level(1, [1, 2])
 
     def test_next_queue_with_internal_live_arc(self):
         monitor, eg = attached(PARANOID)

@@ -520,10 +520,8 @@ RESTART_GRAPH = [[1, 2], [3], [], [], [5, 1], []]
 
 class TestTrace:
     def test_trace_lines_format_and_order(self):
-        lines = []
         eg = ElimGraph.build(sample9())
-        dfs(eg, 0, trace=lines.append)
-        assert lines == visit_lines(
+        assert list(dfs(eg, 0).trace()) == visit_lines(
             (0, 0), (1, 1), (5, 2), (7, 3), (8, 4), (4, 5), (3, 6), (6, 7), (2, 3)
         )
 
@@ -531,17 +529,17 @@ class TestTrace:
         "search, adjacency, want",
         [
             (
-                lambda eg, trace: bfs(eg, 0, trace=trace),
+                lambda eg: bfs(eg, 0),
                 None,
                 visit_lines((0, 0), (1, 1), (2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 4)),
             ),
             (
-                lambda eg, trace: sweep(eg, DFS, trace=trace),
+                lambda eg: sweep(eg, DFS),
                 RESTART_GRAPH,
                 visit_lines((0, 0), (1, 1), (3, 2), (2, 1), (4, 0), (5, 1)),
             ),
             (
-                lambda eg, trace: sweep(eg, BFS, trace=trace),
+                lambda eg: sweep(eg, BFS),
                 RESTART_GRAPH,
                 visit_lines((0, 0), (1, 1), (2, 1), (3, 2), (4, 0), (5, 1)),
             ),
@@ -550,19 +548,57 @@ class TestTrace:
     )
     def test_golden_trace(self, search, adjacency, want):
         g = sample9() if adjacency is None else Graph(adjacency)
-        lines = []
-        search(ElimGraph.build(g), lines.append)
-        assert lines == want
+        assert list(search(ElimGraph.build(g)).trace()) == want
 
     def test_bfs_trace_levels_match_distances(self):
-        lines = []
         eg = ElimGraph.build(sample9())
-        res = bfs(eg, 0, trace=lines.append)
+        res = bfs(eg, 0)
+        lines = list(res.trace())
+        assert len(lines) == res.visited_count
         for line in lines:
             parts = dict(tok.split("=") for tok in line.split()[2:])
             v = int(line.split()[1])
             assert int(parts["level"]) == res.distance[v]
             assert int(parts["number"]) == res.traversal[v]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_driver_trace_equals_oracle_trace(self, data):
+        """The lines read from a driver's result are the oracle result's,
+        for any first number, single searches and sweeps alike."""
+        n = data.draw(st.integers(1, 30), label="n")
+        m = data.draw(st.integers(0, min(4 * n, n * (n - 1))), label="m")
+        g = gnm(n, m, data.draw(st.integers(0, 10**6), label="seed"))
+        kind = data.draw(st.sampled_from([DFS, BFS]), label="kind")
+        a = data.draw(st.sampled_from([-7, 0, 2**32 + 3]), label="a")
+        eg = ElimGraph(g)
+        if data.draw(st.booleans(), label="sweep"):
+            got = sweep(eg, kind, a)
+            ref = textbook_sweep(g, kind)  # numbered from 0: rebased to a below
+            want = TraversalResult.collect(ref.traversal._cells, ref.parent._cells,
+                                           ref.distance._cells, a + ref.visited_count,
+                                           ref.visited_count)
+        else:
+            s = data.draw(st.integers(0, n - 1), label="start")
+            got = (dfs if kind == DFS else bfs)(eg, s, a)
+            want = (seq_dfs if kind == DFS else seq_bfs)(g, s, a)
+        assert list(got.trace()) == list(want.trace())
+        assert len(list(got.trace())) == got.visited_count
+
+
+class TestDefaultEngine:
+    @pytest.mark.parametrize("search", [dfs, bfs])
+    def test_traversal_charges_the_build_engine(self, search):
+        """Without ``engine=``, a traversal is charged to the engine its
+        structure was built on: n + 1 build blocks, then one per visit."""
+        g = gnm(50, 300, 1)
+        engine = ParEngine()
+        eg = ElimGraph(g, engine)
+        res = search(eg, 0)
+        assert res.visited_count == 50
+        assert engine.report().sync_steps == g.num_vertices + 1 + res.visited_count == 101
+        want = 3 * 50 - 1 if search is dfs else 5 * 50 - 1 + levels(res, range(50))
+        assert engine.report().seq_steps == want
 
 
 def levels(res, vertices):
