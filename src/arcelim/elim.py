@@ -23,13 +23,21 @@ live list is exhausted, and a fresh empty list's head links to itself.
 Every live node is pointed at by its predecessor, so arc a is live exactly
 when ``nxt[prv[a]] == a``.
 
+A fresh list is its arcs in id order, so the build lays every list out at
+once: an untimed pre-pass points each arc at its id neighbours
+(``nxt[a] = a + 1``, ``prv[a] = a - 1``), and the init block closes each
+list into a circle through its head node.  The arc blocks then only fill
+the in-table.
+
 The core invariant, established by every visit and relied on by both
 drivers: a visited vertex has no live incoming arc, so following the first
 live arc of any list always discovers an unvisited vertex.
 
 In validation mode the bodies log each cell they write as one int,
-``5 * index + kind``, where ``CELLS[kind]`` names the cell; a violation is
-reported with the cell decoded to ``(name, index)``.
+``4 * index + kind``, where ``CELLS[kind]`` names one of four kinds:
+``head`` (a head node and its list's two end links), ``in`` (an in-table
+slot and its cursor), ``nxt`` and ``prv``.  A violation is reported with
+the cell decoded to ``(name, index)``.
 """
 from __future__ import annotations
 
@@ -48,16 +56,34 @@ if TYPE_CHECKING:
 
 
 # the kinds of cell a validating block logs, by the index they name: a
-# vertex's head node's nxt and prv (init), its in_arc slot and cursor
-# (build), an arc's nxt and prv (build), and one nxt or prv entry (unlink)
-CELLS = ("head", "in", "arc", "nxt", "prv")
-HEAD, IN, ARC, NXT, PRV = range(len(CELLS))
+# vertex's head node and its list's two end links (init), its in_arc slot
+# and cursor (arc blocks), and one nxt or prv entry (unlink)
+CELLS = ("head", "in", "nxt", "prv")
+HEAD, IN, NXT, PRV = range(len(CELLS))
+
+# the most ids the pre-pass lays out from one temporary array
+RUN = 4096
 
 
 def cell_name(cell: int) -> tuple[str, int]:
-    """A logged cell ``5 * index + kind`` as ``(CELLS[kind], index)``."""
-    index, kind = divmod(cell, 5)
+    """A logged cell ``4 * index + kind`` as ``(CELLS[kind], index)``."""
+    index, kind = divmod(cell, 4)
     return CELLS[kind], index
+
+
+def _link_neighbours(nxt: array, prv: array, m: int) -> None:
+    """Point every arc at its id neighbours, ``nxt[a] = a + 1`` and
+    ``prv[a] = a - 1``, in zero-filled arrays, writing one run of at most
+    RUN ids at a time: run ids ``lo..hi-1`` are the nxt of the cells one
+    below them and the prv of the cells one above.  ``prv[1] = 0`` is the
+    zero fill's.  The run also writes ``prv[m]``, head node 0's, and leaves
+    ``nxt[m - 1]`` zero; the init block sets every head node and every
+    list's end links, which covers both."""
+    for lo in range(1, m, RUN):
+        hi = min(lo + RUN, m)
+        run = array(ID, range(lo, hi))
+        nxt[lo - 1:hi - 1] = run
+        prv[lo + 1:hi + 1] = run
 
 
 def arc_slot(off: array, a: int) -> tuple[int, int]:
@@ -79,15 +105,24 @@ class ElimGraph:
 
     def __init__(self, graph: Graph, engine: ParEngine | None = None,
                  monitor: InvariantMonitor | None = None):
-        """Construct the search structure: one init block, then one block
-        per vertex filling incoming-arc tables and list links.
+        """Construct the search structure: one init block that closes each
+        live list, then one block per vertex filling incoming-arc tables.
 
-        The sequential outer loop runs in ascending vertex id, so each
-        in-table ends up ordered by source id.  Within one vertex's block
-        all targets are distinct, so every location has a single writer.
+        An untimed pre-pass sizes every array, so the timed phase never
+        reallocates, and lays each out-list out as a chain of its arcs in
+        id order, one run of at most RUN ids at a time.  Init step u then
+        links head node ``m + u`` to u's first and last arc, in both
+        directions, or to itself for an empty list, and vertex u's block
+        writes each of u's arcs into its target's in-table.  The sequential
+        outer loop runs in ascending vertex id, so each in-table ends up
+        ordered by source id.  Within one vertex's block all targets are
+        distinct, so every location has a single writer.
+
         Costs exactly n+1 synchronization steps and
-        ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps; the arrays are
-        sized by an untimed pre-pass, so the timed phase never reallocates.
+        ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps.  Laying the lists
+        out moves no counted cost: the blocks keep their sizes, so the
+        histogram is the same; each step still does O(1) work; and the
+        chain is memory initialization, uncounted like a zero fill.
         ``monitor``, if given, watches this structure from then on; one
         that already watches another raises ValueError before any block
         is charged to ``engine``, which a traversal given no engine charges.
@@ -97,10 +132,11 @@ class ElimGraph:
         if engine is None:
             engine = ParEngine()
         self.engine = engine
-        # untimed pre-pass: zeroed state arrays, and in_off shifted up one so
-        # that in_off[v + 1] is v's first slot, the cursor its arc blocks
-        # advance; every array is made at its exact size, where one grown
-        # from an iterator would keep spare room for the whole solve
+        # untimed pre-pass: zeroed state arrays with every arc linked to its
+        # id neighbours, and in_off shifted up one so that in_off[v + 1] is
+        # v's first slot, the cursor its arc blocks advance; every array is
+        # made at its exact size, where one grown from an iterator would keep
+        # spare room for the whole solve
         n, m = graph.num_vertices, graph.num_arcs
         self.n = n
         self.m = m
@@ -115,6 +151,7 @@ class ElimGraph:
         self.in_arc = in_arc = array(ID, [0]) * m
         self.nxt = nxt = array(ID, [0]) * (m + n)
         self.prv = prv = array(ID, [0]) * (m + n)
+        _link_neighbours(nxt, prv, m)
         # the traversal's result cells, ABSENT until a visit writes them;
         # the result takes these arrays over
         self.traversal = array(ID, [ABSENT]) * n
@@ -128,12 +165,17 @@ class ElimGraph:
         def init_body(r: range) -> None:
             for u, (lo, hi) in zip(r, pairwise(islice(off, r.start, None))):
                 h = m + u
-                nxt[h] = lo if lo < hi else h
-                prv[h] = hi - 1 if lo < hi else h
+                if lo < hi:
+                    nxt[h] = lo
+                    prv[lo] = h
+                    prv[h] = hi - 1
+                    nxt[hi - 1] = h
+                else:
+                    nxt[h] = prv[h] = h
                 if log is not None:
-                    log(5 * u + HEAD)
+                    log(4 * u + HEAD)
 
-        h = lo = end = 0  # the block's head node, first arc id and one past its last
+        lo = 0  # the block's first arc id
 
         def arc_body(r: range) -> None:
             for i in r:
@@ -142,16 +184,12 @@ class ElimGraph:
                 c = in_off[v + 1]
                 in_arc[c] = a
                 in_off[v + 1] = c + 1
-                x = a + 1
-                nxt[a] = x if x != end else h
-                prv[a] = a - 1 if i else h
                 if log is not None:
-                    log(5 * v + IN)
-                    log(5 * a + ARC)
+                    log(4 * v + IN)
 
         try:
             engine.par_for(n, init_body)
-            for h, (lo, end) in zip(range(m, m + n), pairwise(off)):
+            for lo, end in pairwise(off):
                 engine.par_for(end - lo, arc_body)
         except DisjointWriteViolation as exc:
             raise DisjointWriteViolation(cell_name(exc.cell)) from None
@@ -179,8 +217,8 @@ class ElimGraph:
                 nxt[p] = x
                 prv[x] = p
                 if log is not None:
-                    log(5 * p + NXT)
-                    log(5 * x + PRV)
+                    log(4 * p + NXT)
+                    log(4 * x + PRV)
 
         self._unlink = unlink_body  # for eliminate(arc) and every visit
 

@@ -45,9 +45,11 @@ the engine validates and is otherwise the log's own ``list.append``, atomic
 on either backend; after the join only the driver reads the log.  A cell is
 any hashable value; the search structure logs one int per cell.  A log of
 fewer than 2 cells cannot hold a duplicate and is not checked.  A log of
-fewer than 64 cells is checked with a set.  A longer one is sorted and
-scanned, which holds one pointer per cell where a set holds several; only
-cells that do not sort into a strictly rising sequence are hashed.
+fewer than 64 cells is checked with a set.  A longer one passes in one scan
+with no copy if it already rises strictly, as a block over ascending cells
+logs them; otherwise it is sorted and scanned, which holds one pointer per
+cell where a set holds several.  Only cells that do not sort into a
+strictly rising sequence are hashed.
 """
 from __future__ import annotations
 
@@ -168,10 +170,10 @@ class ParEngine:
         log = self._write_log
         if len(log) >= _SORTED_CHECK_FROM:
             try:
-                cells = sorted(log)
-                # strictly rising cells are distinct; anything else, such as
-                # sets, which order only by inclusion, goes to the scan
-                if all(map(lt, cells, islice(cells, 1, None))):
+                # a log that rises as logged needs no sorted copy; anything
+                # that does not rise once sorted, such as sets, which order
+                # only by inclusion, goes to the scan
+                if _rises(log) or _rises(sorted(log)):
                     return
             except TypeError:  # cells that do not compare: the scan hashes them
                 pass
@@ -196,6 +198,11 @@ class ParEngine:
 
     def __repr__(self) -> str:
         return f"ParEngine(processors={self.processors}, backend={self.backend!r})"
+
+
+def _rises(cells: list) -> bool:
+    """Whether the cells rise strictly, and so are pairwise distinct."""
+    return all(map(lt, cells, islice(cells, 1, None)))
 
 
 class _WorkerPool:

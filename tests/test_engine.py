@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +221,36 @@ class TestWriteValidation:
             with pytest.raises(DisjointWriteViolation) as info:
                 eng.par_for(100, each(lambda i: eng.log_write((99 - i) % 95)))
         assert info.value.cell == 4
+
+    def test_rising_long_log_passes_with_no_copy(self):
+        """A long log that already rises strictly passes in one scan: the
+        check allocates nothing near the 8 B a cell of a sorted copy."""
+        n = 10_000
+        cells = list(range(n))
+        marks = []
+
+        def body(r):
+            for c in cells:
+                eng.log_write(c)
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            with ParEngine(validate_writes=True) as eng:
+                eng.par_for(1, body)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - marks[0] < n  # a sorted copy would be 8n
+
+    def test_long_log_rising_but_for_one_repeat_names_it(self):
+        """A log that never falls but repeats one cell next to itself does
+        not rise strictly, so it is not accepted, and the repeat is named."""
+        with ParEngine(validate_writes=True) as eng:
+            with pytest.raises(DisjointWriteViolation) as info:
+                eng.par_for(100, each(lambda i: eng.log_write(i if i != 50 else 49)))
+        assert info.value.cell == 49
 
     @pytest.mark.parametrize("cells", [
         [frozenset({i}) for i in range(80)],  # ordered only by inclusion
