@@ -127,7 +127,7 @@ def _run_traversal(g: Graph, kind: str, start: int, a0: int, procs: int, mode: s
         eg = ElimGraph.build(g, engine)
         build = engine.report()
         run = dfs if kind == DFS else bfs
-        result = run(eg, start, a0, engine)
+        result = run(eg, start, a0)
         wall = time.perf_counter_ns() - t0
     return result, build, engine, wall
 

@@ -95,12 +95,13 @@ def arc_slot(off: array, a: int) -> tuple[int, int]:
 class ElimGraph:
     """Flat elimination state plus traversal result fields.
 
-    Mutated only inside parallel blocks issued by a single sequential
-    driver; block bodies write pairwise-disjoint locations.  Within one
-    visit's block this holds structurally: the incoming arcs of a vertex
-    come from pairwise-distinct sources (simple digraph), and unlinking an
-    arc touches only its own list's nxt/prv entries, one arc per source
-    list per block.
+    Mutated only inside parallel blocks on ``engine``, the one it is built
+    on, issued by a single sequential driver: the build, every visit and
+    every ``eliminate``.  Block bodies write pairwise-disjoint locations.
+    Within one visit's block this holds structurally: the incoming arcs of
+    a vertex come from pairwise-distinct sources (simple digraph), and
+    unlinking an arc touches only its own list's nxt/prv entries, one arc
+    per source list per block.
     """
 
     def __init__(self, graph: Graph, engine: ParEngine | None = None,
@@ -159,8 +160,8 @@ class ElimGraph:
         self.parent = array(ID, [ABSENT]) * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
-        self._cell = cell = [0, None]  # the current unlink block's first in-table slot and log
-        log = engine.log_write
+        self._cell = cell = [0]  # the current unlink block's first in-table slot
+        log = engine.log_write  # every body binds it once, here
 
         def init_body(r: range) -> None:
             for u, (lo, hi) in zip(r, pairwise(islice(off, r.start, None))):
@@ -199,16 +200,16 @@ class ElimGraph:
             its source's live list in O(1), logging each write when ``log``
             is not None.
 
-            ``lo`` and ``log`` are the two slots of ``self._cell``, read once
-            per chunk.  The driver writes both before it hands the block's
-            chunks over and not again until the join returns, so every chunk
-            of a block reads the block's own slot and log, on either backend.
+            ``lo`` is ``self._cell[0]``, read once per chunk.  The driver
+            writes it before it hands the block's chunks over and not again
+            until the join returns, so every chunk of a block reads the
+            block's own slot, on either backend.
 
             Raises AlreadyEliminated if the arc is not live: a live arc is
             pointed at by its predecessor, and unlink removes that one
             pointer, so liveness is an O(1) test.
             """
-            lo, log = cell
+            lo = cell[0]
             for a in in_arc[lo + r.start:lo + r.stop]:
                 p = prv[a]
                 x = nxt[a]
@@ -220,7 +221,7 @@ class ElimGraph:
                     log(4 * p + NXT)
                     log(4 * x + PRV)
 
-        self._unlink = unlink_body  # for eliminate(arc) and every visit
+        self._unlink = unlink_body  # every unlink block's body
 
         if monitor is not None:
             monitor.attach(self)
@@ -234,27 +235,32 @@ class ElimGraph:
     # -- elimination ---------------------------------------------------------
 
     def eliminate(self, arc: int) -> None:
-        """Unlink one arc by id, outside any block (tests and tools)."""
+        """Unlink one arc by id (tests and tools) in a one-step block on
+        ``engine``, charged, checked and reported to the monitor as a
+        visit's block is.  An arc outside ``0 <= arc < m`` raises
+        IndexError."""
+        if not 0 <= arc < self.m:
+            raise IndexError(f"arc {arc} out of range: the arcs are 0 <= arc < {self.m}")
         v = self.tgt[arc]
-        self._cell[:] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1]), None
-        self._unlink(range(1))
+        self._cell[0] = self.in_arc.index(arc, self.in_off[v], self.in_off[v + 1])
+        # one step logs one nxt and one prv cell, which cannot collide
+        self.engine.par_for(1, self._unlink)
         if self.monitor is not None:
             self.monitor.on_eliminate((arc,))
 
-    def eliminate_incoming(self, v: int, engine: ParEngine) -> None:
-        """Remove every incoming arc of v in one parallel block.
+    def eliminate_incoming(self, v: int) -> None:
+        """Remove every incoming arc of v in one parallel block on ``engine``.
 
         The sources of v's incoming arcs are pairwise distinct, so the
         block's writes are disjoint.  Always costs one synchronization step,
         even with no incoming arc.  A monitor hears of the block's arcs
         from the driver, in one call after the block has joined.
         """
-        in_off, cell = self.in_off, self._cell
-        lo = cell[0] = in_off[v]
+        in_off = self.in_off
+        lo = self._cell[0] = in_off[v]
         hi = in_off[v + 1]
-        cell[1] = engine.log_write
         try:
-            engine.par_for(hi - lo, self._unlink)
+            self.engine.par_for(hi - lo, self._unlink)
         except DisjointWriteViolation as exc:
             raise DisjointWriteViolation(cell_name(exc.cell)) from None
         if self.monitor is not None:

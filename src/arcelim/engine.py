@@ -92,7 +92,8 @@ class ParEngine:
 
     ``processors`` is the modelled processor count p >= 1.  The threaded
     backend allocates its worker pool lazily and should be closed after use
-    (it is also a context manager); closing a simulated engine is a no-op.
+    (it is also a context manager); a closed threaded engine refuses later
+    blocks, and closing a simulated engine is a no-op.
     """
 
     def __init__(self, processors: int = 1, backend: str = SIMULATED,
@@ -107,6 +108,7 @@ class ParEngine:
         self.histogram: dict[int, int] = {}  # block size -> blocks of that size
         self.seq_steps = 0
         self._pool: _WorkerPool | None = None
+        self._closed = False
         self._write_log: list = []
         self.log_write = self._write_log.append if validate_writes else None
 
@@ -121,20 +123,26 @@ class ParEngine:
         Steps must write pairwise-disjoint locations (caller obligation,
         checked only in validation mode).  Accounting: ceil(count/p) time
         steps, one synchronization step, count units of work, all derived
-        by ``report`` from the block-size histogram.
+        by ``report`` from the block-size histogram.  On a closed threaded
+        engine it raises ValueError and charges nothing.
         """
+        if self.backend == SIMULATED:
+            pool = None
+        else:
+            pool = self._pool
+            if pool is None or pool.abandoned:
+                if self._closed:
+                    raise ValueError("parallel block on a closed threaded engine")
+                pool = self._pool = _WorkerPool(self.processors)
         histogram = self.histogram
         histogram[count] = histogram.get(count, 0) + 1
         validate = self.validate_writes
         if validate:
             self._write_log.clear()
-        if self.backend == SIMULATED:
+        if pool is None:
             if count:
                 body(range(count))
         else:
-            pool = self._pool
-            if pool is None or pool.abandoned:
-                pool = self._pool = _WorkerPool(self.processors)
             pool.run_block(body, count)
         if validate:
             log = self._write_log
@@ -186,6 +194,12 @@ class ParEngine:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
+        """Stop the worker pool, if one runs.  From then on a threaded
+        engine refuses every block with ValueError, as a closed file refuses
+        a read, instead of starting a pool that nothing would close; its
+        report stays readable.  Closing twice, or closing a simulated
+        engine, is a no-op."""
+        self._closed = True
         if self._pool is not None:
             self._pool.close()
             self._pool = None

@@ -19,9 +19,10 @@ k vertices over L breadth-first levels (max distance + 1) charges exactly
 vertices with R roots charges 3n - R, or 5n - R plus the sum of L over the
 roots' trees.
 
-A run is charged to ``engine``, by default the one its structure was built
-on; a threaded engine closed before the run restarts a pool that nothing
-closes, so pass ``engine=`` or traverse inside the engine's ``with``.  The
+A run is charged to the engine its structure was built on, so every block
+of one structure runs on one engine.  ``engine=`` is accepted for callers
+that name it and must be that engine.  A threaded engine closed before the
+run refuses its first block, so traverse inside the engine's ``with``.  The
 drivers' one observer is the structure's monitor, if any: one call per
 visit, one per breadth-first level.  A trace is read from the result.
 """
@@ -44,11 +45,11 @@ BFS = "bfs"
 KINDS = (DFS, BFS)
 
 
-def _visit(eg: ElimGraph, v: int, parent: int, k: int, engine: ParEngine) -> int:
+def _visit(eg: ElimGraph, v: int, parent: int, k: int) -> int:
     """One visit, the unit step of both drivers: eliminate v's incoming arcs
     in one block, number v ``k`` and record its parent (ABSENT for a
     root).  Returns k + 1; the caller counts the visit's driver step."""
-    eg.eliminate_incoming(v, engine)
+    eg.eliminate_incoming(v)
     eg.traversal[v] = k
     eg.parent[v] = parent
     if eg.monitor is not None:
@@ -56,9 +57,9 @@ def _visit(eg: ElimGraph, v: int, parent: int, k: int, engine: ParEngine) -> int
     return k + 1
 
 
-def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
+def _dfs(eg: ElimGraph, s: int, k: int) -> int:
     m, nxt, tgt = eg.m, eg.nxt, eg.tgt
-    k = _visit(eg, s, ABSENT, k, engine)
+    k = _visit(eg, s, ABSENT, k)
     ticks = 1  # the visit of s
     stack = array(ID, [s])  # one 4-byte cell per frame, not an int object
     while stack:
@@ -70,19 +71,19 @@ def _dfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
             continue
         w = tgt[a]
         # w is necessarily unvisited: a visited vertex has no live incoming arc
-        k = _visit(eg, w, v, k, engine)
+        k = _visit(eg, w, v, k)
         ticks += 1  # the visit of w
         stack.append(w)
-    engine.seq_tick(ticks)
+    eg.engine.seq_tick(ticks)
     return k
 
 
-def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
+def _bfs(eg: ElimGraph, s: int, k: int) -> int:
     monitor = eg.monitor
     m, nxt, tgt, distance = eg.m, eg.nxt, eg.tgt, eg.distance
     level = 0
     distance[s] = 0
-    k = _visit(eg, s, ABSENT, k, engine)
+    k = _visit(eg, s, ABSENT, k)
     ticks = 1  # the visit of s
     q: deque[int] = deque([s])
     ticks += 1  # enqueue s
@@ -100,22 +101,27 @@ def _bfs(eg: ElimGraph, s: int, k: int, engine: ParEngine) -> int:
                     break
                 v = tgt[a]
                 distance[v] = level
-                k = _visit(eg, v, u, k, engine)
+                k = _visit(eg, v, u, k)
                 ticks += 1  # the visit of v
                 q_next.append(v)
                 ticks += 1  # enqueue
         if monitor is not None:
             monitor.after_level(level, q_next)
         q, q_next = q_next, q
-    engine.seq_tick(ticks)
+    eg.engine.seq_tick(ticks)
     return k
 
 
-Driver = Callable[[ElimGraph, int, int, ParEngine], int]
+Driver = Callable[[ElimGraph, int, int], int]
 
 
-def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int,
-            engine: Optional[ParEngine]) -> TraversalResult:
+def _check_engine(eg: ElimGraph, given: Optional[ParEngine]) -> None:
+    """``engine=``, if given, must be the one the structure was built on."""
+    if given is not None and given is not eg.engine:
+        raise ValueError("engine= must be the engine this search structure was built on")
+
+
+def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int) -> TraversalResult:
     """Run ``driver`` from every start that is still unvisited, numbering
     continuously from a, then close the monitor and collect the result."""
     if eg._traversed:
@@ -123,13 +129,11 @@ def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int,
             "this search structure already ran a traversal; build a fresh one"
         )
     eg._traversed = True
-    if engine is None:
-        engine = eg.engine
     traversal = eg.traversal
     k = 0  # visits so far: the next visit number less a
     for s in starts:
         if traversal[s] == ABSENT:
-            k = driver(eg, s, k, engine)
+            k = driver(eg, s, k)
     if eg.monitor is not None:
         eg.monitor.finish()
     return TraversalResult.collect(traversal, eg.parent, eg.distance, a + k, k)
@@ -146,7 +150,8 @@ def dfs(eg: ElimGraph, s: int, a: int = 0,
     """
     if not 0 <= s < eg.n:
         raise InvalidStart(s, eg.n)
-    return _search(eg, (s,), _dfs, a, engine)
+    _check_engine(eg, engine)
+    return _search(eg, (s,), _dfs, a)
 
 
 def bfs(eg: ElimGraph, s: int, a: int = 0,
@@ -160,7 +165,8 @@ def bfs(eg: ElimGraph, s: int, a: int = 0,
     """
     if not 0 <= s < eg.n:
         raise InvalidStart(s, eg.n)
-    return _search(eg, (s,), _bfs, a, engine)
+    _check_engine(eg, engine)
+    return _search(eg, (s,), _bfs, a)
 
 
 def sweep(eg: ElimGraph, kind: str, a: int = 0,
@@ -170,7 +176,8 @@ def sweep(eg: ElimGraph, kind: str, a: int = 0,
     one tree per restart."""
     if kind not in KINDS:
         raise ValueError(f"unknown traversal kind {kind!r}")
-    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a, engine)
+    _check_engine(eg, engine)
+    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a)
 
 
 @dataclass(frozen=True)
@@ -221,9 +228,9 @@ def verify_against_oracle(
     with ParEngine(processors, backend=backend) as engine:
         eg = ElimGraph.build(g, engine)
         if kind == DFS:
-            got = dfs(eg, s, 0, engine)
+            got = dfs(eg, s)
             want = seq_dfs(g, s, 0)
         else:
-            got = bfs(eg, s, 0, engine)
+            got = bfs(eg, s)
             want = seq_bfs(g, s, 0)
     return compare_results(got, want)

@@ -62,3 +62,48 @@ def test_only_the_engine_reads_validate_writes():
         and isinstance(node.ctx, ast.Load)
     }
     assert readers == {"engine.py"}
+
+
+def functions_with(path, attr=None, param=None):
+    """Names of the functions (``Class.method`` for methods) in path that
+    load ``.attr`` or take a parameter named ``param``, and their nesting."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.FunctionDef) and param is not None:
+                    args = child.args
+                    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                    if param in names:
+                        found.add(name)
+                walk(child, name)
+            else:
+                if (attr is not None and isinstance(child, ast.Attribute)
+                        and child.attr == attr and isinstance(child.ctx, ast.Load)):
+                    found.add(scope)
+                walk(child, scope)
+
+    walk(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_only_the_build_binds_the_write_log():
+    """Outside the engine, only ``ElimGraph.__init__`` reads ``log_write``:
+    every body binds it once, at construction, and no visit reloads it."""
+    readers = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "engine.py"
+        for name in functions_with(path, attr="log_write")
+    }
+    assert readers == {("elim.py", "ElimGraph.__init__")}
+
+
+def test_only_the_entry_points_take_an_engine():
+    """A search structure runs on the engine it was built on: in traverse.py
+    only the public ``dfs``, ``bfs`` and ``sweep`` accept ``engine``, to
+    check it, and in elim.py only the constructors."""
+    assert functions_with(PACKAGE / "traverse.py", param="engine") == {"dfs", "bfs", "sweep"}
+    assert functions_with(PACKAGE / "elim.py", param="engine") == {
+        "ElimGraph.__init__", "ElimGraph.build"}

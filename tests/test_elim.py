@@ -322,6 +322,27 @@ class TestEliminate:
         with pytest.raises(AlreadyEliminated):
             eg.eliminate(eg.off[0])
 
+    @pytest.mark.parametrize("arc", [-1, 24])
+    def test_arc_out_of_range_rejected(self, arc):
+        """sample9 has 24 arcs; an id below or past them is named, with the
+        range, before any block is charged."""
+        eng = ParEngine()
+        eg = ElimGraph.build(sample9(), eng)
+        built = eng.report()
+        with pytest.raises(IndexError, match=rf"^arc {arc} out of range: the arcs are 0 <= arc < 24$"):
+            eg.eliminate(arc)
+        assert eng.report() == built
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate_writes", [False, True])
+    def test_one_block_of_one_step(self, backend, validate_writes):
+        with ParEngine(3, backend=backend, validate_writes=validate_writes) as eng:
+            eg = ElimGraph.build(sample9(), eng)
+            built = dict(eng.histogram)
+            eg.eliminate(eg.off[0] + 1)
+        assert eng.histogram == {**built, 1: built.get(1, 0) + 1}
+        assert eg.live_targets(0) == [1, 3, 4]
+
     def test_random_elimination_order_preserves_live_order(self):
         """Live sequence = original order minus eliminated slots, any order."""
         rng = random.Random(5)
@@ -346,10 +367,11 @@ class TestEliminate:
 
 class TestEliminateIncoming:
     def test_sample_vertex0(self):
-        eg = ElimGraph.build(sample9())
         with ParEngine(2) as eng:
-            eg.eliminate_incoming(0, eng)
-        assert eng.report().sync_steps == 1
+            eg = ElimGraph.build(sample9(), eng)
+            built = eng.report()
+            eg.eliminate_incoming(0)
+        assert (eng.report() - built).sync_steps == 1
         assert eg.nxt[eg.m + 1] == eg.off[1]  # target 0 is slot 1 of 1's list [5,0]
         assert eg.live_targets(1) == [5]
         assert eg.live_targets(2) == [5, 3, 6]
@@ -357,18 +379,18 @@ class TestEliminateIncoming:
         assert eg.live_targets(4) == [3, 6]
 
     def test_zero_indegree_still_synchronizes(self):
-        eg = ElimGraph.build(Graph([[1], [], []]))
         with ParEngine(4) as eng:
-            eg.eliminate_incoming(2, eng)
-        rep = eng.report()
+            eg = ElimGraph.build(Graph([[1], [], []]), eng)
+            built = eng.report()
+            eg.eliminate_incoming(2)
+        rep = eng.report() - built
         assert rep.sync_steps == 1
         assert rep.work == 0
         assert eg.live_targets(0) == [1]
 
     def test_self_loop(self):
         eg = ElimGraph.build(Graph([[0]]))
-        with ParEngine(1) as eng:
-            eg.eliminate_incoming(0, eng)
+        eg.eliminate_incoming(0)
         assert eg.nxt[eg.m] == eg.m == eg.prv[eg.m]
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
@@ -377,7 +399,7 @@ class TestEliminateIncoming:
         with ParEngine(3, backend=backend, validate_writes=True) as eng:
             eg = ElimGraph.build(g, eng)
             for v in (3, 0, 6):
-                eg.eliminate_incoming(v, eng)
+                eg.eliminate_incoming(v)
 
 
 class TestWriteValidation:
@@ -395,7 +417,7 @@ class TestWriteValidation:
             lo = eg.in_off[2]
             eg.in_arc[lo], eg.in_arc[lo + 1] = 0, 1
             with pytest.raises(DisjointWriteViolation) as info:
-                eg.eliminate_incoming(2, eng)
+                eg.eliminate_incoming(2)
         assert info.value.cell == ("nxt", 4)
         assert str(info.value) == "location ('nxt', 4) written twice within one parallel block"
 
@@ -529,16 +551,21 @@ class TestUnlinkBody:
         with RecordingEngine(3, backend=backend, validate_writes=True) as eng:
             eg = ElimGraph.build(sample9(), eng)
             built = len(eng.bodies)
-            eg.eliminate(eg.in_arc[eg.in_off[3]])
-            eg.eliminate_incoming(5, eng)
-            eg.eliminate_incoming(0, eng)
-            logged = list(eng._write_log)
-            eg.eliminate(eg.in_arc[eg.in_off[7]])
+            first, last = eg.in_arc[eg.in_off[3]], eg.in_arc[eg.in_off[7]]
+            around = [[("nxt", eg.prv[first]), ("prv", eg.nxt[first])]]
+            eg.eliminate(first)
+            eg.eliminate_incoming(5)
+            eg.eliminate_incoming(0)
+            around.append([("nxt", eg.prv[last]), ("prv", eg.nxt[last])])
+            eg.eliminate(last)
         # the constructor made the body, and no method is left to make it later
-        assert [body is eg._unlink for body in eng.bodies[built:]] == [True, True]
+        assert [body is eg._unlink for body in eng.bodies[built:]] == [True] * 4
         assert not hasattr(ElimGraph, "_unlink_body")
-        # the visits logged their cells; eliminate, outside any block, logs none
-        assert eng.cells[-1] and eng._write_log == logged
+        # eliminate is a validating block like a visit's: it logs its arc's
+        # predecessor's nxt and successor's prv
+        blocks = eng.cells[built:]
+        assert [blocks[0], blocks[3]] == around
+        assert blocks[1] and blocks[2]
 
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     @pytest.mark.parametrize("validate_writes", [False, True])
@@ -564,9 +591,9 @@ class TestUnlinkBody:
     def test_second_elimination_of_a_vertex_rejected(self, backend, validate_writes, v):
         with ParEngine(3, backend=backend, validate_writes=validate_writes) as eng:
             eg = ElimGraph.build(sample9(), eng)
-            eg.eliminate_incoming(v, eng)
+            eg.eliminate_incoming(v)
             with pytest.raises(AlreadyEliminated) as exc:
-                eg.eliminate_incoming(v, eng)
+                eg.eliminate_incoming(v)
         # the driver's chunk comes first
         assert (exc.value.source, exc.value.slot) == in_table(eg, v)[0]
 
@@ -582,7 +609,7 @@ class TestUnlinkBody:
             a = eg.in_arc[eg.in_off[v] + i]
             eg.eliminate(a)
             with pytest.raises(AlreadyEliminated) as exc:
-                eg.eliminate_incoming(eg.tgt[a], eng)
+                eg.eliminate_incoming(eg.tgt[a])
         assert (exc.value.source, exc.value.slot) == in_table(eg, v)[i]
 
     @pytest.mark.parametrize("kind,want", [(DFS, SAMPLE_DFS_CELLS), (BFS, SAMPLE_BFS_CELLS)])
@@ -605,7 +632,7 @@ class TestFirstLiveTarget:
 
     def test_after_eliminating_into_7(self):
         eg = ElimGraph.build(sample9())
-        eg.eliminate_incoming(7, ParEngine())
+        eg.eliminate_incoming(7)
         assert eg.live_targets(5) == [3, 2, 1]
 
     def test_exhausted_vertex(self):

@@ -378,7 +378,9 @@ class TestPoolLifecycle:
             assert not t.is_alive()
         assert threading.active_count() == before
 
-    def test_close_twice_and_reuse_after_close(self):
+    def test_close_twice_and_refuse_blocks_after_close(self):
+        """A closed threaded engine refuses a block, charging nothing and
+        starting no pool that nothing would close; its report stays."""
         before = threading.active_count()
         eng = ParEngine(3, backend=THREADED)
         eng.par_for(5, lambda i: None)
@@ -387,11 +389,13 @@ class TestPoolLifecycle:
         eng.close()
         assert threading.active_count() == before
         hits = [0] * 5
-        eng.par_for(5, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
-        assert hits == [1] * 5
-        eng.close()
+        with pytest.raises(ValueError, match="closed"):
+            eng.par_for(5, each(lambda i: hits.__setitem__(i, hits[i] + 1)))
+        assert hits == [0] * 5
         assert threading.active_count() == before
-        assert eng.report().sync_steps == 2
+        assert eng._pool is None
+        assert eng.report().sync_steps == 1
+
 
     def test_p1_threaded_starts_no_thread(self):
         before = threading.active_count()
@@ -443,7 +447,7 @@ class TestTracerContract:
             return list(inspect.signature(f).parameters)
 
         assert params(ParEngine.par_for) == ["self", "count", "body"]
-        assert params(ElimGraph.eliminate_incoming) == ["self", "v", "engine"]
+        assert params(ElimGraph.eliminate_incoming) == ["self", "v"]
 
 
 class TestCostReport:

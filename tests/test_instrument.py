@@ -241,10 +241,13 @@ class TestViolationsCaught:
 
 
 class SkippingEngine(ParEngine):
-    """Charges every block as ParEngine does but runs none of its steps."""
+    """Charges every block as ParEngine does, but once ``skipping`` is set
+    runs none of its steps."""
+
+    skipping = False
 
     def par_for(self, count, body):
-        super().par_for(count, lambda r: None)
+        super().par_for(count, (lambda r: None) if self.skipping else body)
 
 
 class TestDriverSideReports:
@@ -253,8 +256,10 @@ class TestDriverSideReports:
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     @pytest.mark.parametrize("search", [dfs, bfs])
     def test_skipped_block_fails_at_the_first_visit(self, search, backend):
-        monitor, eg = attached()  # vertex 0 has four incoming arcs
+        monitor = InvariantMonitor()
         with SkippingEngine(2, backend=backend) as engine:
+            eg = ElimGraph.build(sample9(), engine, monitor=monitor)  # vertex 0 has four incoming arcs
+            engine.skipping = True
             with pytest.raises(InvariantViolation, match="still linked"):
                 search(eg, 0, engine=engine)
         assert list(eg.traversal) == [ABSENT] * 9

@@ -1,4 +1,5 @@
 import random
+import threading
 from array import array
 from collections import deque
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arcelim import (
     BFS,
     COUNTERS,
+    CostReport,
     DFS,
     ElimGraph,
     ElimGraphReused,
@@ -599,6 +601,44 @@ class TestDefaultEngine:
         assert engine.report().sync_steps == g.num_vertices + 1 + res.visited_count == 101
         want = 3 * 50 - 1 if search is dfs else 5 * 50 - 1 + levels(res, range(50))
         assert engine.report().seq_steps == want
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("kind", ["dfs", "bfs", "sweep"])
+    def test_foreign_engine_rejected_before_any_block(self, kind, backend):
+        """``engine=`` other than the build's raises before either engine
+        is charged, and the structure can still be traversed."""
+        def search(eg, engine=None):
+            if kind == "sweep":
+                return sweep(eg, BFS, 0, engine)
+            return (dfs if kind == "dfs" else bfs)(eg, 0, 0, engine)
+
+        g = gnm(30, 120, 4)
+        with ParEngine(2, backend=backend) as engine, ParEngine(2, backend=backend) as other:
+            eg = ElimGraph(g, engine)
+            built = engine.report()
+            with pytest.raises(ValueError, match="built on"):
+                search(eg, other)
+            assert engine.report() == built
+            assert other.report() == CostReport()
+            assert search(eg, engine) == search(ElimGraph(g))
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("search", [dfs, bfs])
+    def test_traversal_after_the_engine_closed(self, search, backend):
+        """A threaded engine closed after the build refuses the traversal
+        and starts no thread; closing a simulated engine is a no-op."""
+        g = gnm(30, 120, 4)
+        before = threading.active_count()
+        with ParEngine(2, backend=backend) as engine:
+            eg = ElimGraph(g, engine)
+        built = engine.report()
+        if backend == THREADED:
+            with pytest.raises(ValueError, match="closed"):
+                search(eg, 0)
+            assert engine.report() == built
+        else:
+            assert search(eg, 0) == search(ElimGraph(g), 0)
+        assert threading.active_count() == before
 
 
 def levels(res, vertices):
