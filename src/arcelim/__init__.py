@@ -1,7 +1,10 @@
 """arcelim: ordered parallel DFS and BFS by arc elimination.
 
-Build an immutable Graph, derive the linked search structure on a
-ParEngine with ElimGraph(graph, engine), and traverse it with dfs or bfs.
+Build an immutable Graph and solve it: solve(graph, DFS, processors=8)
+opens a ParEngine, derives the linked search structure, runs one search
+and returns the result with its build cost and the closed engine.  For the
+structure itself, build ElimGraph(graph, engine) inside the engine's
+``with`` and traverse it with dfs, bfs or sweep.
 Every visit eliminates the fresh vertex's incoming arcs in one parallel block,
 so the drivers never rescan dead arcs: a traversal visiting k vertices
 costs exactly k synchronization steps and O(m/p + k) metered time.
@@ -46,6 +49,7 @@ from .traverse import (
     bfs,
     compare_results,
     dfs,
+    solve,
     sweep,
     verify_against_oracle,
 )
@@ -93,6 +97,7 @@ __all__ = [
     "seq_bfs",
     "seq_dfs",
     "serialize_edge_list",
+    "solve",
     "star_out",
     "sweep",
     "verify_against_oracle",

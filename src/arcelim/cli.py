@@ -14,16 +14,14 @@ import csv
 import io
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import generators
-from .elim import ElimGraph
-from .engine import SIMULATED, THREADED, ParEngine
+from .engine import SIMULATED, THREADED
 from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
-from .traverse import BFS, DFS, KINDS, bfs, dfs, verify_against_oracle
+from .traverse import KINDS, solve, verify_against_oracle
 
 OUT_OF_MEMORY = 3
 BROKEN_PIPE = 141
@@ -116,31 +114,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # -- run -----------------------------------------------------------------------
 
 
-def _run_traversal(g: Graph, kind: str, start: int, a0: int, procs: int, mode: str):
-    """Build the search structure and run one traversal on one engine.
-
-    Returns (result, build-phase report, the closed engine, wall
-    nanoseconds); ``engine.report(p)`` gives the run's cost at any p.
-    """
-    with ParEngine(procs, backend=mode) as engine:
-        t0 = time.perf_counter_ns()
-        eg = ElimGraph.build(g, engine)
-        build = engine.report()
-        run = dfs if kind == DFS else bfs
-        result = run(eg, start, a0)
-        wall = time.perf_counter_ns() - t0
-    return result, build, engine, wall
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    result, build, engine, _ = _run_traversal(
-        g, args.kind, args.start, args.a0, args.procs, args.mode
-    )
+    solved = solve(g, args.kind, args.start, args.a0, args.procs, args.mode)
     if args.trace:
-        print(*result.trace(), sep="\n", file=sys.stderr)
-    total = engine.report()
-    sys.stdout.write(result.serialize())
+        print(*solved.result.trace(), sep="\n", file=sys.stderr)
+    build, total = solved.build, solved.engine.report()
+    sys.stdout.write(solved.result.serialize())
     sys.stdout.write(
         f"\ntime_steps={total.time_steps}\nsync_steps={total.sync_steps}\n"
         f"work={total.work}\nseq_steps={total.seq_steps}\n"
@@ -204,18 +184,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for token in sizes:
         g = _bench_graph(args.family, token, args.seed)
         for kind in kinds:
-            engine = None
+            solved = None
             for p in procs:
                 # block sizes do not depend on p, so one simulated run gives
                 # every row; a threaded row needs its own run for wall_nanos
-                if engine is None or args.mode == THREADED:
-                    _, build, engine, wall = _run_traversal(g, kind, args.start, 0, p, args.mode)
-                total = engine.report(p)
+                if solved is None or args.mode == THREADED:
+                    solved = solve(g, kind, args.start, 0, p, args.mode)
+                build, total = solved.build, solved.engine.report(p)
                 rows.append([
                     args.family, g.num_vertices, g.num_arcs, p, args.mode, kind,
                     total.time_steps, build.sync_steps, total.sync_steps - build.sync_steps,
                     total.work, total.seq_steps,
-                    wall if args.mode == THREADED else None,  # wall_nanos: threaded only
+                    solved.wall_ns if args.mode == THREADED else None,  # wall_nanos: threaded only
                     # speedup_model: time_steps(p=1) / time_steps(p); the former is
                     # work + seq_steps
                     "%.6f" % ((total.work + total.seq_steps) / total.time_steps),

@@ -74,12 +74,6 @@ class Graph:
         self.num_vertices = n
         self.num_arcs = len(tgt)
 
-    def arcs(self) -> Iterable[tuple[int, int]]:
-        """All arcs as (source, target), source-major in adjacency order."""
-        for u, targets in enumerate(self.out_lists):
-            for t in targets:
-                yield u, t
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.off == other.off and self.tgt == other.tgt
 

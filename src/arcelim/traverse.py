@@ -25,18 +25,24 @@ that name it and must be that engine.  A threaded engine closed before the
 run refuses its first block, so traverse inside the engine's ``with``.  The
 drivers' one observer is the structure's monitor, if any: one call per
 visit, one per breadth-first level.  A trace is read from the result.
+
+``solve`` is that whole sequence in one call: it opens an engine, builds,
+runs one search and closes the engine, and returns the build's cost with
+the engine, from which the traversal's cost is the difference.
 """
 from __future__ import annotations
 
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from time import perf_counter_ns
 from typing import Callable, Iterable, Optional
 
 from .elim import ElimGraph
-from .engine import SIMULATED, ParEngine
+from .engine import SIMULATED, CostReport, ParEngine
 from .errors import ElimGraphReused, InvalidStart
 from .graph import ID, Graph
+from .instrument import InvariantMonitor
 from .oracle import seq_bfs, seq_dfs
 from .result import ABSENT, TraversalResult
 
@@ -214,6 +220,36 @@ def compare_results(driver: TraversalResult, oracle: TraversalResult) -> MatchRe
     return MatchReport(not diffs, tuple(diffs))
 
 
+@dataclass(frozen=True)
+class Solved:
+    """One build and traversal.  ``build`` is the build's cost at the
+    engine's p; ``engine`` is closed, and ``engine.report(p)`` is the whole
+    run's cost at any p; ``wall_ns`` is the wall time of build and
+    traversal together."""
+
+    result: TraversalResult
+    build: CostReport
+    engine: ParEngine
+    wall_ns: int
+
+
+def solve(g: Graph, kind: str, start: int = 0, a: int = 0, processors: int = 1,
+          backend: str = SIMULATED, validate: bool = False,
+          monitor: Optional[InvariantMonitor] = None) -> Solved:
+    """Build the search structure of g on a fresh engine and run one
+    ``kind`` search from ``start``, numbering from a.  ``validate`` checks
+    every block's writes, and ``monitor``, if given, watches the run."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown traversal kind {kind!r}")
+    with ParEngine(processors, backend=backend, validate_writes=validate) as engine:
+        t0 = perf_counter_ns()
+        eg = ElimGraph(g, engine, monitor)
+        build = engine.report()
+        result = (dfs if kind == DFS else bfs)(eg, start, a)
+        wall_ns = perf_counter_ns() - t0
+    return Solved(result, build, engine, wall_ns)
+
+
 def verify_against_oracle(
     g: Graph,
     s: int,
@@ -221,16 +257,7 @@ def verify_against_oracle(
     processors: int = 1,
     backend: str = SIMULATED,
 ) -> MatchReport:
-    """Run the arc-elimination driver and the sequential reference from s
-    (both numbering from 0) and report field-by-field equality."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown traversal kind {kind!r}")
-    with ParEngine(processors, backend=backend) as engine:
-        eg = ElimGraph.build(g, engine)
-        if kind == DFS:
-            got = dfs(eg, s)
-            want = seq_dfs(g, s, 0)
-        else:
-            got = bfs(eg, s)
-            want = seq_bfs(g, s, 0)
-    return compare_results(got, want)
+    """Solve from s and run the sequential reference (both numbering from
+    0), and report field-by-field equality."""
+    got = solve(g, kind, s, processors=processors, backend=backend).result
+    return compare_results(got, (seq_dfs if kind == DFS else seq_bfs)(g, s, 0))

@@ -20,7 +20,6 @@ from arcelim import (
     Graph,
     InvariantMonitor,
     PARANOID,
-    ParEngine,
     SIMULATED,
     THREADED,
     bfs,
@@ -33,6 +32,7 @@ from arcelim import (
     sample9,
     seq_bfs,
     seq_dfs,
+    solve,
 )
 
 SAMPLE_DFS_NUMBERS = {0: 0, 1: 1, 5: 2, 7: 3, 8: 4, 4: 5, 3: 6, 6: 7, 2: 8}
@@ -69,17 +69,13 @@ def run_instrumented(g, s, kind, p, level):
     """One full pipeline: build + traverse + oracle comparison + bookkeeping
     needed by criteria 3-6."""
     monitor = InvariantMonitor(level)
-    with ParEngine(p) as engine:
-        eg = ElimGraph.build(g, engine, monitor=monitor)
-        build = engine.report()
-        result = (dfs if kind == DFS else bfs)(eg, s, 0, engine)
-        total = engine.report()
-    trav = total - build
+    solved = solve(g, kind, s, processors=p, monitor=monitor)
+    result, build = solved.result, solved.build
     return result, {
         "n": g.num_vertices,
         "visited": result.visited_count,
         "sync_build": build.sync_steps,
-        "sync_traverse": trav.sync_steps,
+        "sync_traverse": solved.engine.report().sync_steps - build.sync_steps,
         "visit_checks": monitor.stats["visit_checks"],
         "eliminations": monitor.stats["eliminations"],
     }
@@ -171,16 +167,12 @@ def sample_runs():
         for backend in (SIMULATED, THREADED):
             for p in (1, 2, 8):
                 monitor = InvariantMonitor(PARANOID)
-                with ParEngine(p, backend=backend) as engine:
-                    eg = ElimGraph.build(sample9(), engine, monitor=monitor)
-                    build = engine.report()
-                    result = (dfs if kind == DFS else bfs)(eg, 0, 0, engine)
-                    total = engine.report()
+                solved = solve(sample9(), kind, processors=p, backend=backend, monitor=monitor)
                 out[(kind, backend, p)] = {
-                    "result": result,
-                    "bits": result.serialize(),
-                    "build": build,
-                    "trav": total - build,
+                    "result": solved.result,
+                    "bits": solved.result.serialize(),
+                    "build": solved.build,
+                    "trav": solved.engine.report() - solved.build,
                     "visit_checks": monitor.stats["visit_checks"],
                     "eliminations": monitor.stats["eliminations"],
                 }
@@ -290,12 +282,9 @@ def test_criterion_07_cost_model_bound():
     for name, g in cases:
         for kind in (DFS, BFS):
             for p in (1, 2, 4, 8, 16):
-                with ParEngine(p) as engine:
-                    eg = ElimGraph.build(g, engine)
-                    build = engine.report()
-                    res = (dfs if kind == DFS else bfs)(eg, 0, 0, engine)
-                    trav = engine.report() - build
-                need = (trav.time_steps - trav.work / p) / (res.visited_count + 1)
+                solved = solve(g, kind, processors=p)
+                trav = solved.engine.report() - solved.build
+                need = (trav.time_steps - trav.work / p) / (solved.result.visited_count + 1)
                 if need > fitted:
                     fitted, argmax = need, (name, kind, p)
     elapsed = time.perf_counter() - t0
@@ -307,10 +296,7 @@ def test_criterion_07_cost_model_bound():
 @criterion(8, "speedup dichotomy: near-linear on complete(64), flat on path(1000)")
 def test_criterion_08_speedup_regimes():
     def total_time(g, kind, p):
-        with ParEngine(p) as engine:
-            eg = ElimGraph.build(g, engine)
-            (dfs if kind == DFS else bfs)(eg, 0, 0, engine)
-            return engine.report().time_steps
+        return solve(g, kind, processors=p).engine.report().time_steps
 
     dense = complete(64)  # m/n = 63, every p <= 16 is within the linear regime
     for kind in (DFS, BFS):
@@ -357,13 +343,7 @@ def test_criterion_10_wall_clock_speedup():
     n, m = 2001, 4_000_000  # densest gnm this side of 2000 vertices holds 3 998 000 arcs
     g = gnm(n, m, 1)
     for kind in (DFS, BFS):
-        walls = {}
-        for p in (1, 4):
-            with ParEngine(p, backend=THREADED) as engine:
-                t0 = time.perf_counter_ns()
-                eg = ElimGraph.build(g, engine)
-                (dfs if kind == DFS else bfs)(eg, 0, 0, engine)
-                walls[p] = time.perf_counter_ns() - t0
+        walls = {p: solve(g, kind, processors=p, backend=THREADED).wall_ns for p in (1, 4)}
         speedup = walls[1] / walls[4]
         print(f"\n  {kind}: wall speedup p=4 vs p=1 on gnm({n}, {m}) = {speedup:.2f}")
         if speedup <= 1.5:

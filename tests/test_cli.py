@@ -319,13 +319,13 @@ class TestBench:
     def test_one_run_per_size_kind_and_p(self, capsys, monkeypatch):
         """The model speedup comes from each row's own run: no extra p=1 run."""
         calls = []
-        real = cli._run_traversal
+        real = cli.solve
 
         def counted(g, kind, *rest):
             calls.append((g.num_vertices, kind))
             return real(g, kind, *rest)
 
-        monkeypatch.setattr(cli, "_run_traversal", counted)
+        monkeypatch.setattr(cli, "solve", counted)
         assert main(["bench", "--family", "path", "--sizes", "8,12", "--procs", "4"]) == 0
         assert sorted(calls) == [(8, "bfs"), (8, "dfs"), (12, "bfs"), (12, "dfs")]
 
@@ -334,13 +334,13 @@ class TestBench:
         """Block sizes do not depend on p, so a simulated bench derives every
         p row from one run; a threaded row needs its own wall time."""
         calls = []
-        real = cli._run_traversal
+        real = cli.solve
 
-        def counted(g, kind, start, a0, p, *rest):
-            calls.append(p)
-            return real(g, kind, start, a0, p, *rest)
+        def counted(g, kind, start, a, processors, *rest):
+            calls.append(processors)
+            return real(g, kind, start, a, processors, *rest)
 
-        monkeypatch.setattr(cli, "_run_traversal", counted)
+        monkeypatch.setattr(cli, "solve", counted)
         assert main(["bench", "--family", "path", "--sizes", "12", "--kinds", "dfs",
                      "--procs", "1,2,4", "--mode", mode]) == 0
         assert len(calls) == runs
@@ -411,6 +411,19 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --kinds must name at least one kind\n"
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("bench", "--procs", "--procs must name at least one value"),
+        ("verify", "--starts", "--starts must name at least one value"),
+        ("bench", "--sizes", "--sizes must name at least one size"),
+    ])
+    def test_empty_value_list_rejected(self, sample_file, capsys, command, flag, message):
+        args = {"verify": ["verify", sample_file],
+                "bench": ["bench", "--family", "path", "--sizes", "6"]}[command]
+        assert main(args + [flag, ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestOutOfMemory:

@@ -64,9 +64,10 @@ def test_only_the_engine_reads_validate_writes():
     assert readers == {"engine.py"}
 
 
-def functions_with(path, attr=None, param=None):
+def functions_with(path, attr=None, param=None, call=None):
     """Names of the functions (``Class.method`` for methods) in path that
-    load ``.attr`` or take a parameter named ``param``, and their nesting."""
+    load ``.attr``, take a parameter named ``param`` or call the name
+    ``call``, and their nesting; module-level code is the name ``""``."""
     found = set()
 
     def walk(node, scope):
@@ -82,6 +83,9 @@ def functions_with(path, attr=None, param=None):
             else:
                 if (attr is not None and isinstance(child, ast.Attribute)
                         and child.attr == attr and isinstance(child.ctx, ast.Load)):
+                    found.add(scope)
+                if (call is not None and isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name) and child.func.id == call):
                     found.add(scope)
                 walk(child, scope)
 
@@ -107,3 +111,16 @@ def test_only_the_entry_points_take_an_engine():
     assert functions_with(PACKAGE / "traverse.py", param="engine") == {"dfs", "bfs", "sweep"}
     assert functions_with(PACKAGE / "elim.py", param="engine") == {
         "ElimGraph.__init__", "ElimGraph.build"}
+
+
+def test_only_solve_opens_an_engine():
+    """The engine sequence (open, build, report, traverse, close) is written
+    once, in ``solve``: the CLI and ``verify_against_oracle`` reach an engine
+    through it, and the only other ``ParEngine(`` is the default engine of
+    a structure built with none."""
+    openers = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in functions_with(path, call="ParEngine")
+    }
+    assert openers == {("traverse.py", "solve"), ("elim.py", "ElimGraph.__init__")}

@@ -54,7 +54,7 @@ class TestGnm:
         g = gnm(n, m, seed)
         assert g.num_vertices == n
         assert g.num_arcs == m  # average degree m/n exact by construction
-        arcs = list(g.arcs())
+        arcs = [(u, v) for u, targets in enumerate(g.out_lists) for v in targets]
         assert len(set(arcs)) == m
         assert all(u != v for u, v in arcs)
 

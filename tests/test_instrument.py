@@ -204,6 +204,14 @@ class TestViolationsCaught:
                            match=rf"vertex 0: prv\[-1\]=1, expected {expected}$"):
             monitor.verify_structure()
 
+    def test_middle_arc_prv_mismatch(self):
+        # an arc inside the chain must point back at the arc before it
+        monitor, eg = attached()
+        eg.prv[eg.off[0] + 2] = eg.off[0]
+        with pytest.raises(InvariantViolation) as exc:
+            monitor.verify_structure()
+        assert str(exc.value) == "vertex 0: prv[2]=0, expected 1"
+
     @pytest.mark.parametrize("target, went", [
         (4, "arc (source 1, slot 0)"),  # vertex 1's first arc
         (25, "the head node of vertex 1"),  # m + 1, with m = 24

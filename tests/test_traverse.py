@@ -2,6 +2,7 @@ import random
 import threading
 from array import array
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from arcelim import (
     Graph,
     InvalidStart,
     InvariantMonitor,
+    MatchReport,
     PARANOID,
     ParEngine,
     SIMULATED,
@@ -29,6 +31,7 @@ from arcelim import (
     sample9,
     seq_bfs,
     seq_dfs,
+    solve,
     star_out,
     sweep,
     verify_against_oracle,
@@ -42,13 +45,9 @@ SAMPLE_BFS_TREE = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (5, 7), (7, 8
 
 
 def run(kind, g, s=0, a=0, p=1, backend=SIMULATED, monitor=None):
-    with ParEngine(p, backend=backend) as engine:
-        eg = ElimGraph.build(g, engine, monitor=monitor)
-        build = engine.report()
-        driver = dfs if kind == DFS else bfs
-        result = driver(eg, s, a, engine)
-        total = engine.report()
-    return result, total - build, eg
+    """One solve's result and the cost of its traversal alone."""
+    solved = solve(g, kind, s, a, p, backend, monitor=monitor)
+    return solved.result, solved.engine.report() - solved.build
 
 
 def run_sweep(kind, g):
@@ -119,24 +118,24 @@ def assert_spanning_tree(res, g, s):
 
 class TestDfs:
     def test_sample_numbering_and_tree(self):
-        res, _, _ = run(DFS, sample9())
+        res, _ = run(DFS, sample9())
         assert {v: t for v, t in enumerate(res.traversal)} == SAMPLE_DFS_NUMBERS
         assert tree_edges(res) == SAMPLE_DFS_TREE
 
     def test_single_vertex(self):
-        res, _, _ = run(DFS, Graph([[]]))
+        res, _ = run(DFS, Graph([[]]))
         assert list(res.traversal) == [0]
         assert res.next_number == 1
 
     def test_offset_numbering_partial_reach(self):
-        res, _, _ = run(DFS, path(3), s=1, a=5)
+        res, _ = run(DFS, path(3), s=1, a=5)
         assert list(res.traversal) == [None, 5, 6]
         assert res.next_number == 7
         assert res.visited_count == 2
 
     @pytest.mark.parametrize("p", [1, 2, 4, 16])
     def test_sync_steps_equal_visits(self, p):
-        _, trav, _ = run(DFS, sample9(), p=p)
+        _, trav = run(DFS, sample9(), p=p)
         assert trav.sync_steps == 9
 
     def test_invalid_start(self):
@@ -145,11 +144,11 @@ class TestDfs:
             dfs(eg, 9)
 
     def test_deep_path_no_recursion_limit(self):
-        res, _, _ = run(DFS, path(5000))
+        res, _ = run(DFS, path(5000))
         assert res.visited_count == 5000
 
     def test_parent_numbered_before_child(self):
-        res, _, _ = run(DFS, sample9())
+        res, _ = run(DFS, sample9())
         for v, p in enumerate(res.parent):
             if p is not None:
                 assert res.traversal[p] < res.traversal[v]
@@ -157,29 +156,29 @@ class TestDfs:
 
 class TestBfs:
     def test_sample_numbering_distances_tree(self):
-        res, _, _ = run(BFS, sample9())
+        res, _ = run(BFS, sample9())
         assert list(res.traversal) == list(range(9))
         assert list(res.distance) == [0, 1, 1, 1, 1, 2, 2, 3, 4]
         assert tree_edges(res) == SAMPLE_BFS_TREE
 
     def test_single_vertex(self):
-        res, _, _ = run(BFS, Graph([[]]))
+        res, _ = run(BFS, Graph([[]]))
         assert list(res.traversal) == [0]
         assert list(res.distance) == [0]
 
     def test_star(self):
-        res, _, _ = run(BFS, star_out(5))
+        res, _ = run(BFS, star_out(5))
         assert list(res.traversal) == [0, 1, 2, 3, 4]
         assert list(res.distance) == [0, 1, 1, 1, 1]
 
     def test_offset_numbering(self):
-        res, _, _ = run(BFS, path(3), s=1, a=5)
+        res, _ = run(BFS, path(3), s=1, a=5)
         assert list(res.traversal) == [None, 5, 6]
         assert res.next_number == 7
 
     @pytest.mark.parametrize("p", [1, 3, 8])
     def test_sync_steps_equal_visits(self, p):
-        _, trav, _ = run(BFS, sample9(), p=p)
+        _, trav = run(BFS, sample9(), p=p)
         assert trav.sync_steps == 9
 
     def test_invalid_start(self):
@@ -203,7 +202,8 @@ class LevelRecorder(InvariantMonitor):
 class TestBfsLevelStructure:
     def test_sample_level_queues_and_disjointness(self):
         recorder = LevelRecorder()
-        res, _, eg = run(BFS, sample9(), monitor=recorder)
+        run(BFS, sample9(), monitor=recorder)
+        eg = recorder.eg
         assert recorder.levels[0] == (1, [1, 2, 3, 4])
         assert recorder.levels[1:] == [(2, [5, 6]), (3, [7]), (4, [8]), (5, [])]
         # no live arc connects two members of any recorded queue
@@ -213,7 +213,7 @@ class TestBfsLevelStructure:
 
     def test_level_members_share_distance(self):
         recorder = LevelRecorder()
-        res, _, _ = run(BFS, sample9(), monitor=recorder)
+        res, _ = run(BFS, sample9(), monitor=recorder)
         for level, members in recorder.levels:
             assert {res.distance[v] for v in members} <= {level}
 
@@ -258,9 +258,9 @@ class TestPInvariance:
         g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
         s = rng.randrange(n)
         for kind in (DFS, BFS):
-            base, base_trav, _ = run(kind, g, s)
+            base, base_trav = run(kind, g, s)
             for p, backend in ((2, SIMULATED), (5, SIMULATED), (2, THREADED)):
-                res, trav, _ = run(kind, g, s, p=p, backend=backend)
+                res, trav = run(kind, g, s, p=p, backend=backend)
                 assert res == base
                 assert trav.sync_steps == base_trav.sync_steps
                 assert trav.work == base_trav.work
@@ -274,7 +274,7 @@ class TestPInvariance:
         g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
         s = rng.randrange(n)
         for kind in (DFS, BFS):
-            res, trav, _ = run(kind, g, s, p=rng.choice([1, 2, 4]))
+            res, trav = run(kind, g, s, p=rng.choice([1, 2, 4]))
             assert trav.sync_steps == res.visited_count
 
 
@@ -344,7 +344,8 @@ class TestSingleElimination:
         s = rng.randrange(n)
         kind = rng.choice([DFS, BFS])
         monitor = InvariantMonitor(PARANOID)
-        res, _, eg = run(kind, g, s, monitor=monitor)
+        res, _ = run(kind, g, s, monitor=monitor)
+        eg = monitor.eg
         visited = [v for v, t in enumerate(res.traversal) if t is not None]
         # the monitor raises on any double elimination; count the singles
         assert monitor.stats["eliminations"] == sum(
@@ -360,7 +361,7 @@ class TestTreeValidity:
         g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
         s = rng.randrange(n)
         for kind in (DFS, BFS):
-            res, _, _ = run(kind, g, s)
+            res, _ = run(kind, g, s)
             assert_spanning_tree(res, g, s)
 
 
@@ -381,9 +382,50 @@ class TestOracleAgreement:
         assert not report.ok
         assert report.mismatches[0] == "traversal[1]: driver=1 oracle=2"
 
+    @pytest.mark.parametrize("oracle, message", [
+        (seq_dfs(path(4), 0), "vertex count: driver=3 oracle=4"),
+        (replace(seq_dfs(path(3), 0), visited_count=4), "visited_count: driver=3 oracle=4"),
+        (replace(seq_dfs(path(3), 0), next_number=7), "next_number: driver=3 oracle=7"),
+    ])
+    def test_count_mismatch_is_named(self, oracle, message):
+        assert compare_results(seq_dfs(path(3), 0), oracle) == MatchReport(False, (message,))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             verify_against_oracle(path(2), 0, "iddfs")
+
+
+class TestSolve:
+    """``solve`` opens an engine, builds, runs one search and closes the
+    engine; the record splits the cost between build and traversal."""
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_record(self, backend):
+        solved = solve(sample9(), DFS, 1, 5, processors=3, backend=backend)
+        assert solved.result == seq_dfs(sample9(), 1, 5)
+        assert solved.build.sync_steps == 10
+        assert solved.engine.processors == 3
+        assert solved.engine.report().sync_steps == 10 + solved.result.visited_count
+        assert solved.wall_ns > 0
+
+    def test_threaded_engine_comes_back_closed(self):
+        engine = solve(sample9(), BFS, processors=2, backend=THREADED).engine
+        with pytest.raises(ValueError, match="closed threaded engine"):
+            engine.par_for(1, lambda r: None)
+
+    def test_validate_and_monitor_pass_through(self):
+        monitor = InvariantMonitor(COUNTERS)
+        solved = solve(gnm(30, 120, 5), BFS, validate=True, monitor=monitor)
+        assert solved.engine.log_write is not None
+        assert monitor.eg is not None
+        assert monitor.stats["visit_checks"] == solved.result.visited_count
+
+    def test_unknown_kind_opens_no_engine(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr("arcelim.traverse.ParEngine", lambda *a, **k: opened.append(a))
+        with pytest.raises(ValueError, match="unknown traversal kind 'iddfs'"):
+            solve(path(2), "iddfs")
+        assert opened == []
 
 
 class TestResult:
@@ -394,7 +436,7 @@ class TestResult:
     @pytest.mark.parametrize("kind", [DFS, BFS])
     def test_driver_result_equals_and_hashes_like_the_oracle(self, kind, a):
         g = gnm(64, 256, 3)
-        got, _, _ = run(kind, g, 5, a)
+        got, _ = run(kind, g, 5, a)
         want = (seq_dfs if kind == DFS else seq_bfs)(g, 5, a)
         assert got == want
         assert hash(got) == hash(want)
@@ -404,7 +446,7 @@ class TestResult:
     @pytest.mark.parametrize("kind", [DFS, BFS])
     def test_fields_iterate_as_optional_ints(self, kind):
         g = Graph([[1], [], [0]])  # 2 is unreachable from 0
-        res, _, _ = run(kind, g, 0, 7)
+        res, _ = run(kind, g, 0, 7)
         for field in (res.traversal, res.parent, res.distance):
             assert len(field) == 3
             assert all(x is None or type(x) is int for x in field)
@@ -417,7 +459,7 @@ class TestResult:
 
     def test_results_from_lists_equal_results_from_cells(self):
         """Equal values compare and hash equal however they are stored."""
-        res, _, _ = run(DFS, path(3), 0, 10)
+        res, _ = run(DFS, path(3), 0, 10)
         packed = TraversalResult.collect([10, 11, 12], [None, 0, 1], [None] * 3, 13)
         assert packed == res and hash(packed) == hash(res)
         other = TraversalResult.collect([10, 12, 11], [None, 0, 1], [None] * 3, 13)
@@ -435,7 +477,7 @@ class TestResult:
     def test_a_slice_of_a_field_is_a_tuple_of_its_values(self, kind, a):
         g = Graph([[1, 3], [2], [], [], []])  # 4 is unreachable from 0
         res = (seq_dfs if kind == DFS else seq_bfs)(g, 0, a)
-        got, _, _ = run(kind, g, 0, a)
+        got, _ = run(kind, g, 0, a)
         for field in ("traversal", "parent", "distance"):
             for r in (res, got):
                 values = list(getattr(r, field))
@@ -446,7 +488,7 @@ class TestResult:
         assert got.parent[-2:] == (0, None)
 
     def test_fields_are_read_only(self):
-        res, _, _ = run(BFS, path(3))
+        res, _ = run(BFS, path(3))
         with pytest.raises(TypeError):
             res.traversal[0] = 5
 
@@ -658,9 +700,9 @@ class TestSeqSteps:
         n = rng.randrange(1, 14)
         g = gnm(n, rng.randrange(0, min(3 * n, n * (n - 1)) + 1), seed)
         s = rng.randrange(n)
-        res, trav, _ = run(DFS, g, s)
+        res, trav = run(DFS, g, s)
         assert trav.seq_steps == 3 * res.visited_count - 1
-        res, trav, _ = run(BFS, g, s)
+        res, trav = run(BFS, g, s)
         visited = [v for v, t in enumerate(res.traversal) if t is not None]
         assert trav.seq_steps == 5 * res.visited_count - 1 + levels(res, visited)
 
