@@ -163,7 +163,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- bench ---------------------------------------------------------------------
 
 
-def _bench_graph(family: str, token: str, seed: int) -> Graph:
+def _parse_size(family: str, token: str) -> list[int]:
+    """The FAMILIES parameters that one ``--sizes`` token names."""
     names, sep, form = FAMILIES[family]
     try:
         values = [int(text) for text in (token.split(sep) if sep else [token])]
@@ -171,18 +172,19 @@ def _bench_graph(family: str, token: str, seed: int) -> Graph:
         values = []
     if len(values) != len(names):
         raise ValueError(f"--sizes expects {form} for {family}, got {token!r}")
-    return _make_graph(family, values, seed)
+    return values
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     procs = _parse_ints(args.procs, "--procs")
     kinds = _parse_kinds(args.kinds)
-    sizes = [tok for tok in args.sizes.split(",") if tok]
+    # parse every token first, so a bad one is refused before any graph is made
+    sizes = [_parse_size(args.family, tok) for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ValueError("--sizes must name at least one size")
     rows: list[list] = []
-    for token in sizes:
-        g = _bench_graph(args.family, token, args.seed)
+    for values in sizes:
+        g = _make_graph(args.family, values, args.seed)
         for kind in kinds:
             solved = None
             for p in procs:

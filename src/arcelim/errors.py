@@ -92,10 +92,12 @@ class GraphTooLarge(GraphError):
 
 
 class AlreadyEliminated(GraphError):
-    """eliminate() was called on a slot that is no longer live.
+    """An unlink found its arc no longer live.
 
-    In a correct traversal every arc is eliminated exactly once (its target
-    is visited at most once), so this always indicates a driver bug.
+    The one unlink body of a search structure raises it, in a visit's
+    elimination block and in ``eliminate(arc)`` alike.  In a correct
+    traversal every arc is eliminated exactly once (its target is visited at
+    most once), so from a visit this always indicates a driver bug.
     """
 
     def __init__(self, source: int, slot: int):

@@ -4,7 +4,9 @@ sequential references.
 Each per-vertex field is one unsigned ``array(ID)`` of cells, with the one
 value ``ABSENT`` for a vertex that has no number, parent or distance.  A
 visit number is stored less the run's first number ``a``, so any ``a``
-fits: the cells of a run hold 0, 1, ..., visited_count - 1.
+fits: the cells of a run hold 0, 1, ..., visited_count - 1.  A result has
+one way in, ``TraversalResult.collect``, which takes a run's cells as they
+are, with no copy.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graph import ID
 
 ABSENT = 0xFFFFFFFF  # the largest ID value: no visit number, parent or distance
 
@@ -60,10 +61,6 @@ class Column(Sequence):
         return f"Column({list(self)!r})"
 
 
-def _pack(values: Sequence[Optional[int]], base: int = 0) -> array:
-    return array(ID, [ABSENT if x is None else x - base for x in values])
-
-
 @dataclass(frozen=True)
 class TraversalResult:
     """Per-vertex outputs of a single search run.
@@ -84,29 +81,13 @@ class TraversalResult:
     next_number: int
 
     @classmethod
-    def collect(
-        cls,
-        traversal: Sequence[Optional[int]],
-        parent: Sequence[Optional[int]],
-        distance: Sequence[Optional[int]],
-        next_number: int,
-        visited_count: Optional[int] = None,
-    ) -> "TraversalResult":
-        """The result of a run that numbered up to ``next_number``.
-
-        With ``visited_count``, the three fields are a run's ``array(ID)``
-        cells, visit numbers stored less the first number; the result
-        takes them without a copy, so nothing may write to them after.
-        Without it they are sequences of ``Optional[int]``, packed into
-        such arrays here, visit numbers less the least of them.
-        """
-        if visited_count is None:
-            numbers = [t for t in traversal if t is not None]
-            visited_count = len(numbers)
-            a = min(numbers, default=0)
-            traversal, parent, distance = _pack(traversal, a), _pack(parent), _pack(distance)
-        else:
-            a = next_number - visited_count
+    def collect(cls, traversal: array, parent: array, distance: array,
+                next_number: int, visited_count: int) -> "TraversalResult":
+        """The result of a run that visited ``visited_count`` vertices and
+        numbered up to ``next_number``, from its ``array(ID)`` cells, visit
+        numbers stored less the first number.  The result takes the cells
+        without a copy, so nothing may write to them after."""
+        a = next_number - visited_count
         return cls(Column(traversal, a), Column(parent), Column(distance),
                    visited_count, next_number)
 

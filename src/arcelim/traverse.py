@@ -28,7 +28,13 @@ visit, one per breadth-first level.  A trace is read from the result.
 
 ``solve`` is that whole sequence in one call: it opens an engine, builds,
 runs one search and closes the engine, and returns the build's cost with
-the engine, from which the traversal's cost is the difference.
+the engine, from which the traversal's cost is the difference.  It refuses
+an unknown kind or a start outside 0..n-1 before it opens the engine.
+
+One table, ``_SEARCHES``, maps each kind to its driver and its sequential
+oracle; ``KINDS`` is its keys.  ``sweep``, ``solve`` and
+``verify_against_oracle`` look the kind up there, and only ``_lookup``
+refuses a kind it does not hold.
 """
 from __future__ import annotations
 
@@ -48,7 +54,6 @@ from .result import ABSENT, TraversalResult
 
 DFS = "dfs"
 BFS = "bfs"
-KINDS = (DFS, BFS)
 
 
 def _visit(eg: ElimGraph, v: int, parent: int, k: int) -> int:
@@ -120,6 +125,24 @@ def _bfs(eg: ElimGraph, s: int, k: int) -> int:
 
 Driver = Callable[[ElimGraph, int, int], int]
 
+# kind -> (driver, sequential oracle)
+_SEARCHES = {DFS: (_dfs, seq_dfs), BFS: (_bfs, seq_bfs)}
+KINDS = tuple(_SEARCHES)
+
+
+def _lookup(kind: str) -> Driver:
+    """The driver of ``kind``; tested against ``KINDS`` so that any other
+    value, hashable or not, raises the same ``ValueError``."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown traversal kind {kind!r}")
+    return _SEARCHES[kind][0]
+
+
+def _check_start(s: int, n: int) -> None:
+    """A start must be a vertex: ``0 <= s < n``."""
+    if not 0 <= s < n:
+        raise InvalidStart(s, n)
+
 
 def _check_engine(eg: ElimGraph, given: Optional[ParEngine]) -> None:
     """``engine=``, if given, must be the one the structure was built on."""
@@ -154,8 +177,7 @@ def dfs(eg: ElimGraph, s: int, a: int = 0,
     the recursive procedure would, because visiting the child eliminated
     the arc that was scanned.
     """
-    if not 0 <= s < eg.n:
-        raise InvalidStart(s, eg.n)
+    _check_start(s, eg.n)
     _check_engine(eg, engine)
     return _search(eg, (s,), _dfs, a)
 
@@ -169,8 +191,7 @@ def bfs(eg: ElimGraph, s: int, a: int = 0,
     vertex's incoming arcs up front guarantees no vertex enters a queue
     twice, and no live arc ever connects two members of the next queue.
     """
-    if not 0 <= s < eg.n:
-        raise InvalidStart(s, eg.n)
+    _check_start(s, eg.n)
     _check_engine(eg, engine)
     return _search(eg, (s,), _bfs, a)
 
@@ -180,10 +201,9 @@ def sweep(eg: ElimGraph, kind: str, a: int = 0,
     """Full-graph extension: restart the search on every still-unvisited
     vertex in id order, numbering continuously.  Parents form a forest,
     one tree per restart."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown traversal kind {kind!r}")
+    driver = _lookup(kind)
     _check_engine(eg, engine)
-    return _search(eg, range(eg.n), _dfs if kind == DFS else _bfs, a)
+    return _search(eg, range(eg.n), driver, a)
 
 
 @dataclass(frozen=True)
@@ -239,13 +259,13 @@ def solve(g: Graph, kind: str, start: int = 0, a: int = 0, processors: int = 1,
     """Build the search structure of g on a fresh engine and run one
     ``kind`` search from ``start``, numbering from a.  ``validate`` checks
     every block's writes, and ``monitor``, if given, watches the run."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown traversal kind {kind!r}")
+    driver = _lookup(kind)
+    _check_start(start, g.num_vertices)
     with ParEngine(processors, backend=backend, validate_writes=validate) as engine:
         t0 = perf_counter_ns()
         eg = ElimGraph(g, engine, monitor)
         build = engine.report()
-        result = (dfs if kind == DFS else bfs)(eg, start, a)
+        result = _search(eg, (start,), driver, a)
         wall_ns = perf_counter_ns() - t0
     return Solved(result, build, engine, wall_ns)
 
@@ -260,4 +280,4 @@ def verify_against_oracle(
     """Solve from s and run the sequential reference (both numbering from
     0), and report field-by-field equality."""
     got = solve(g, kind, s, processors=processors, backend=backend).result
-    return compare_results(got, (seq_dfs if kind == DFS else seq_bfs)(g, s, 0))
+    return compare_results(got, _SEARCHES[kind][1](g, s, 0))

@@ -377,6 +377,18 @@ class TestBench:
         ) == 2
         assert "n:m" in capsys.readouterr().err
 
+    def test_bad_size_token_is_refused_before_any_graph(self, capsys, monkeypatch):
+        """Every --sizes token is parsed before the first graph is made."""
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append("solve"))
+        monkeypatch.setattr(cli, "_make_graph", lambda *a: calls.append("graph"))
+        assert main(["bench", "--family", "gnm", "--sizes", "4000:80000,abc",
+                     "--procs", "1,2"]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sizes expects n:m for gnm, got 'abc'\n"
+
     @pytest.mark.parametrize("family,token,form", [
         ("path", "abc", "n"),
         ("gnm", "3:4:5", "n:m"),

@@ -124,3 +124,20 @@ def test_only_solve_opens_an_engine():
         for name in functions_with(path, call="ParEngine")
     }
     assert openers == {("traverse.py", "solve"), ("elim.py", "ElimGraph.__init__")}
+
+
+def test_one_dispatch_on_the_kind():
+    """traverse.py decides a search kind in one place, the ``_SEARCHES``
+    table: no comparison names a kind, and one site refuses an unknown one."""
+    source = (PACKAGE / "traverse.py").read_text()
+    compares = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)]
+    assert compares, "no comparison found; the scan is not reading the source"
+    kinds = [
+        (node.lineno, ast.unparse(operand))
+        for node in compares
+        for operand in (node.left, *node.comparators)
+        if (isinstance(operand, ast.Name) and operand.id in ("DFS", "BFS"))
+        or (isinstance(operand, ast.Constant) and operand.value in ("dfs", "bfs"))
+    ]
+    assert kinds == []
+    assert source.count("unknown traversal kind") == 1

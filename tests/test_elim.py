@@ -658,6 +658,16 @@ class TestInspection:
         assert [eg.live_arcs(u)[0] - eg.off[u] for u in range(2)] == [1, 0]
         assert [indegree(eg, v) for v in range(3)] == [0, 1, 2]
 
+    @pytest.mark.parametrize("make, text", [
+        (lambda: ElimGraph(sample9()), "ElimGraph(n=9, m=24)"),
+        (lambda: ParEngine(3, backend=THREADED), "ParEngine(processors=3, backend='threaded')"),
+    ])
+    def test_repr(self, make, text):
+        obj = make()
+        assert repr(obj) == text
+        if isinstance(obj, ParEngine):
+            obj.close()
+
 
 class TestStructuralIntegrity:
     @given(st.integers(0, 10_000))

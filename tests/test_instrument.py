@@ -12,6 +12,7 @@ from arcelim import (
     SIMULATED,
     THREADED,
     ElimGraph,
+    Graph,
     InvariantMonitor,
     InvariantViolation,
     PARANOID,
@@ -232,6 +233,16 @@ class TestViolationsCaught:
         monitor._live_in[3] += 1
         with pytest.raises(InvariantViolation):
             monitor.verify_structure()
+
+    def test_live_in_count_off_the_chains(self):
+        # every arc is where its flag says, but one count of the in-table's
+        # sizes, kept since attach, disagrees with the chains
+        monitor = InvariantMonitor(COUNTERS)
+        dfs(ElimGraph(Graph([[1], []]), monitor=monitor), 1)
+        monitor._live_in[0] += 1
+        with pytest.raises(InvariantViolation) as exc:
+            monitor.verify_structure()
+        assert str(exc.value) == "live-in counts disagree with the link chains"
 
     def test_level_distance_mismatch(self):
         monitor, eg = attached(PARANOID)

@@ -63,10 +63,10 @@ def textbook_sweep(g, kind):
     """Restart a textbook search on every unvisited vertex in id order,
     scanning ``g.out_lists`` left to right: the reference for sweep."""
     n = g.num_vertices
-    traversal, parent, distance = [None] * n, [None] * n, [None] * n
+    traversal, parent, distance = (array(ID, [ABSENT]) * n for _ in range(3))
     number = 0
     for r in range(n):
-        if traversal[r] is not None:
+        if traversal[r] != ABSENT:
             continue
         traversal[r] = number
         number += 1
@@ -76,7 +76,7 @@ def textbook_sweep(g, kind):
             while queue:
                 u = queue.popleft()
                 for v in g.out_lists[u]:
-                    if traversal[v] is None:
+                    if traversal[v] == ABSENT:
                         traversal[v], parent[v], distance[v] = number, u, distance[u] + 1
                         number += 1
                         queue.append(v)
@@ -85,14 +85,14 @@ def textbook_sweep(g, kind):
             while stack:
                 u, targets = stack[-1]
                 for v in targets:
-                    if traversal[v] is None:
+                    if traversal[v] == ABSENT:
                         traversal[v], parent[v] = number, u
                         number += 1
                         stack.append((v, iter(g.out_lists[v])))
                         break
                 else:
                     stack.pop()
-    return TraversalResult.collect(traversal, parent, distance, number)
+    return TraversalResult.collect(traversal, parent, distance, number, number)
 
 
 def tree_edges(res):
@@ -377,7 +377,8 @@ class TestOracleAgreement:
         from arcelim import TraversalResult
 
         driver = seq_dfs(path(3), 0)
-        forged = TraversalResult.collect([0, 2, 1], [None, 0, 1], [None] * 3, 3)
+        forged = TraversalResult.collect(array(ID, [0, 2, 1]), array(ID, [ABSENT, 0, 1]),
+                                         array(ID, [ABSENT]) * 3, 3, 3)
         report = compare_results(driver, forged)
         assert not report.ok
         assert report.mismatches[0] == "traversal[1]: driver=1 oracle=2"
@@ -427,6 +428,24 @@ class TestSolve:
             solve(path(2), "iddfs")
         assert opened == []
 
+    @pytest.mark.parametrize("kind", [DFS, BFS])
+    @pytest.mark.parametrize("g, start, message", [
+        (sample9(), 9, "start vertex 9 not in 0..8"),
+        (sample9(), -1, "start vertex -1 not in 0..8"),
+        (Graph([]), 0, "start vertex 0: the graph has no vertices"),
+    ], ids=["n", "minus-one", "empty-graph"])
+    def test_bad_start_opens_no_engine(self, monkeypatch, kind, g, start, message):
+        """The start is checked before the build, so a bad one costs no
+        engine, no build blocks and no monitor attach."""
+        opened = []
+        monkeypatch.setattr("arcelim.traverse.ParEngine", lambda *a, **k: opened.append(a))
+        monitor = InvariantMonitor(COUNTERS)
+        with pytest.raises(InvalidStart) as exc:
+            solve(g, kind, start, monitor=monitor)
+        assert str(exc.value) == message
+        assert opened == []
+        assert monitor.eg is None
+
 
 class TestResult:
     """A result's fields are read-only sequences of Optional[int] over the
@@ -458,11 +477,12 @@ class TestResult:
         assert (res.visited_count, res.next_number) == (2, 9)
 
     def test_results_from_lists_equal_results_from_cells(self):
-        """Equal values compare and hash equal however they are stored."""
+        """Equal values compare and hash equal however the cells were filled."""
         res, _ = run(DFS, path(3), 0, 10)
-        packed = TraversalResult.collect([10, 11, 12], [None, 0, 1], [None] * 3, 13)
+        parent, distance = array(ID, [ABSENT, 0, 1]), array(ID, [ABSENT]) * 3
+        packed = TraversalResult.collect(array(ID, [0, 1, 2]), parent, distance, 13, 3)
         assert packed == res and hash(packed) == hash(res)
-        other = TraversalResult.collect([10, 12, 11], [None, 0, 1], [None] * 3, 13)
+        other = TraversalResult.collect(array(ID, [0, 2, 1]), parent, distance, 13, 3)
         assert other != res
 
     def test_columns_compare_by_value_across_bases(self):
