@@ -134,15 +134,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
-    if g.num_vertices == 0:  # fail as run does: there is no start vertex
-        raise InvalidStart(0, 0)
-    starts = (
-        range(g.num_vertices)
-        if args.starts == "all"
-        else _parse_ints(args.starts, "--starts")
-    )
+    # the flags are refused before the graph is read, and a bad start
+    # before the first solve
+    starts = None if args.starts == "all" else _parse_ints(args.starts, "--starts")
     kinds = _parse_kinds(args.kinds)
+    g = _read_graph(args.input)
+    n = g.num_vertices
+    if n == 0:  # fail as run does: there is no start vertex
+        raise InvalidStart(0, 0)
+    if starts is None:
+        starts = range(n)
+    for s in starts:
+        if not 0 <= s < n:
+            raise InvalidStart(s, n)
     checked = 0
     failed = 0
     for s in starts:

@@ -61,7 +61,7 @@ class Graph:
         input; no partially constructed graph escapes.  Every search
         structure shares ``off`` and ``tgt``: treat them as read-only.
         """
-        out_lists = tuple(tuple(ts) for ts in lists)
+        out_lists = tuple(map(tuple, lists))
         n = len(out_lists)
         tgt = _flatten(out_lists)
         # only a failing input pays for the per-slot walk that finds and
@@ -90,15 +90,17 @@ def _flatten(out_lists: tuple) -> array | None:
     repeated one.
 
     Each list is copied and checked for repeats in one step, while its int
-    objects are still in cache.  Ids are never negative, so the unsigned
+    objects are still in cache.  ``fromlist`` stores a list with no
+    iterator protocol per item, faster than ``extend``, so each tuple is
+    first copied to a list in C.  Ids are never negative, so the unsigned
     type rejects a negative target by itself, stores about twice as fast
     as ``'i'``, and the array becomes the graph's ``tgt`` with no copy.
     """
     flat = array(ID)
-    extend = flat.extend
+    fromlist = flat.fromlist
     try:
         for targets in out_lists:
-            extend(targets)
+            fromlist(list(targets))
             if len(targets) > 1 and len(set(targets)) != len(targets):
                 return None
     except (TypeError, OverflowError):

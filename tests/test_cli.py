@@ -262,6 +262,31 @@ class TestVerify:
     def test_bad_starts_is_input_error(self, sample_file, capsys):
         assert main(["verify", sample_file, "--starts", "0,x"]) == 2
 
+    def test_bad_start_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        """Every start is checked against n before the first solve, with the
+        error a lone bad start gives."""
+        target = tmp_path / "path4000.txt"
+        assert main(["gen", "--family", "path", "--n", "4000", "--out", str(target)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "verify_against_oracle", lambda *a, **k: calls.append(a))
+        errors = []
+        for starts in ("0,1,4000", "4000"):
+            assert main(["verify", str(target), "--starts", starts]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert calls == []
+        assert errors == ["error: start vertex 4000 not in 0..3999\n"] * 2
+
+    def test_flags_are_refused_before_the_graph_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        for flag, value, message in (
+            ("--starts", "0,x", "--starts expects comma-separated integers, got '0,x'"),
+            ("--kinds", "astar", "unknown traversal kind 'astar' (use dfs, bfs, or both)"),
+        ):
+            assert main(["verify", missing, flag, value]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBench:
     def test_csv_shape_and_golden_row(self, capsys):

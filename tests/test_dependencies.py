@@ -141,3 +141,25 @@ def test_one_dispatch_on_the_kind():
     ]
     assert kinds == []
     assert source.count("unknown traversal kind") == 1
+
+
+def test_generators_draw_only_from_getrandbits():
+    """generators.py calls no ``Random`` method but ``getrandbits``, and
+    names nothing of ``random`` but ``Random``: the graphs rest on the
+    Mersenne Twister word stream alone, not on ``randrange``, ``shuffle``
+    and the other Python-level algorithms, which may change between
+    versions."""
+    import random
+
+    tree = ast.parse((PACKAGE / "generators.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "getrandbits" in attrs, "no draw found; the scan is not reading the source"
+    assert attrs & set(dir(random.Random)) == {"getrandbits"}
+    from_random = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "random"
+    }
+    assert from_random == {"Random"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "random"]
