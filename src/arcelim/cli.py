@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import generators
-from .engine import SIMULATED, THREADED
+from .engine import SIMULATED, THREADED, check_processors
 from .errors import GraphError, InvalidStart
 from .graph import Graph, parse_edge_list, serialize_edge_list
 from .traverse import KINDS, solve, verify_against_oracle
@@ -115,6 +115,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    check_processors(args.procs)  # refused before the graph is read
     g = _read_graph(args.input)
     solved = solve(g, args.kind, args.start, args.a0, args.procs, args.mode)
     if args.trace:
@@ -138,6 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # before the first solve
     starts = None if args.starts == "all" else _parse_ints(args.starts, "--starts")
     kinds = _parse_kinds(args.kinds)
+    check_processors(args.procs)
     g = _read_graph(args.input)
     n = g.num_vertices
     if n == 0:  # fail as run does: there is no start vertex
@@ -180,9 +182,9 @@ def _parse_size(family: str, token: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    procs = _parse_ints(args.procs, "--procs")
+    procs = [check_processors(p) for p in _parse_ints(args.procs, "--procs")]
     kinds = _parse_kinds(args.kinds)
-    # parse every token first, so a bad one is refused before any graph is made
+    # check every flag first, so a bad one is refused before any graph is made
     sizes = [_parse_size(args.family, tok) for tok in args.sizes.split(",") if tok]
     if not sizes:
         raise ValueError("--sizes must name at least one size")

@@ -7,11 +7,16 @@ global id, source-major in adjacency order, and the state lives in flat
 arrays indexed by arc id or vertex id (compressed sparse rows):
 
 * ``off`` (n+1) and ``tgt`` (m): u's out-list is ``tgt[off[u]:off[u+1]]``,
-  so ``a - off[u]`` is arc a's slot in its source's list.  Both belong to
-  the Graph and are shared, never copied: every structure built over one
-  graph reads the same two arrays, and none writes to them;
+  so ``a - off[u]`` is arc a's slot in its source's list;
 * ``in_off`` (n+1) and ``in_arc`` (m): the in-table, v's incoming arc ids
-  ``in_arc[in_off[v]:in_off[v+1]]`` ordered by source id;
+  ``in_arc[in_off[v]:in_off[v+1]]`` ordered by source id.
+
+``off``, ``tgt`` and ``in_off`` depend on the graph alone: they belong to
+the Graph and are shared, never copied, so every structure built over one
+graph reads the same three arrays, and none writes to them.  The Graph
+counts ``in_off`` once, on its first search; each structure owns only
+``in_arc`` and the live lists:
+
 * ``nxt``/``prv`` (m+n): a circular doubly linked live list threaded over
   each out-list, giving O(1) unlink of any arc.  Entries below m belong to
   arcs; entry ``m + u`` is u's head node, which is never unlinked.
@@ -27,7 +32,9 @@ A fresh list is its arcs in id order, so the build lays every list out at
 once: an untimed pre-pass points each arc at its id neighbours
 (``nxt[a] = a + 1``, ``prv[a] = a - 1``), and the init block closes each
 list into a circle through its head node.  The arc blocks then only fill
-the in-table.
+the in-table: each arc goes to its target's cursor, in a temporary copy of
+the first slots that is freed when the blocks end.  The traversal's result
+cells are made only after that, so the cursor and they never coexist.
 
 The core invariant, established by every visit and relied on by both
 drivers: a visited vertex has no live incoming arc, so following the first
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, pairwise
+from itertools import islice, pairwise
 from typing import TYPE_CHECKING
 
 from .engine import ParEngine
@@ -111,13 +118,17 @@ class ElimGraph:
 
         An untimed pre-pass sizes every array, so the timed phase never
         reallocates, and lays each out-list out as a chain of its arcs in
-        id order, one run of at most RUN ids at a time.  Init step u then
-        links head node ``m + u`` to u's first and last arc, in both
-        directions, or to itself for an empty list, and vertex u's block
-        writes each of u's arcs into its target's in-table.  The sequential
-        outer loop runs in ascending vertex id, so each in-table ends up
-        ordered by source id.  Within one vertex's block all targets are
-        distinct, so every location has a single writer.
+        id order, one run of at most RUN ids at a time.  It counts
+        nothing: the in-table offsets are the graph's ``in_off``, and v's
+        cursor is ``cursor[v]`` in a temporary copy of in_off's first n
+        cells.  Init step u then links head node ``m + u`` to u's first and
+        last arc, in both directions, or to itself for an empty list, and
+        vertex u's block writes each of u's arcs into its target's in-table
+        at the target's cursor and advances it.  The sequential outer loop
+        runs in ascending vertex id, so each in-table ends up ordered by
+        source id.  Within one vertex's block all targets are distinct, so
+        every location has a single writer.  The cursor is freed when the
+        blocks end, and only then are the traversal's result cells made.
 
         Costs exactly n+1 synchronization steps and
         ceil(n/p) + sum_u ceil(outdeg(u)/p) time steps.  Laying the lists
@@ -134,30 +145,20 @@ class ElimGraph:
             engine = ParEngine()
         self.engine = engine
         # untimed pre-pass: zeroed state arrays with every arc linked to its
-        # id neighbours, and in_off shifted up one so that in_off[v + 1] is
-        # v's first slot, the cursor its arc blocks advance; every array is
-        # made at its exact size, where one grown from an iterator would keep
-        # spare room for the whole solve
+        # id neighbours, and cursor[v] at v's first slot, the cursor v's
+        # arc blocks advance; every array is made at its exact size, where
+        # one grown from an iterator would keep spare room for the whole solve
         n, m = graph.num_vertices, graph.num_arcs
         self.n = n
         self.m = m
         self.off = off = graph.off
         self.tgt = tgt = graph.tgt
-        counts = [0] * n
-        for v in tgt:
-            counts[v] += 1
-        self.in_off = in_off = array(ID, [0]) * (n + 1)
-        in_off[2:] = array(ID, accumulate(counts[:-1]))
-        del counts
+        self.in_off = graph.in_off
+        cursor = self.in_off[:-1]
         self.in_arc = in_arc = array(ID, [0]) * m
         self.nxt = nxt = array(ID, [0]) * (m + n)
         self.prv = prv = array(ID, [0]) * (m + n)
         _link_neighbours(nxt, prv, m)
-        # the traversal's result cells, ABSENT until a visit writes them;
-        # the result takes these arrays over
-        self.traversal = array(ID, [ABSENT]) * n
-        self.distance = array(ID, [ABSENT]) * n
-        self.parent = array(ID, [ABSENT]) * n
         self.monitor: InvariantMonitor | None = None
         self._traversed = False
         self._cell = cell = [0]  # the current unlink block's first in-table slot
@@ -182,9 +183,9 @@ class ElimGraph:
             for i in r:
                 a = lo + i
                 v = tgt[a]
-                c = in_off[v + 1]
+                c = cursor[v]
                 in_arc[c] = a
-                in_off[v + 1] = c + 1
+                cursor[v] = c + 1
                 if log is not None:
                     log(4 * v + IN)
 
@@ -194,6 +195,12 @@ class ElimGraph:
                 engine.par_for(end - lo, arc_body)
         except DisjointWriteViolation as exc:
             raise DisjointWriteViolation(cell_name(exc.cell)) from None
+        del cursor
+        # the traversal's result cells, ABSENT until a visit writes them;
+        # the result takes these arrays over
+        self.traversal = array(ID, [ABSENT]) * n
+        self.distance = array(ID, [ABSENT]) * n
+        self.parent = array(ID, [ABSENT]) * n
 
         def unlink_body(r: range) -> None:
             """Unlink, for each i of the chunk, arc ``in_arc[lo + i]`` from

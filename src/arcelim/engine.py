@@ -87,6 +87,13 @@ class CostReport:
         )
 
 
+def check_processors(p: int) -> int:
+    """p, if it is a processor count; ValueError if it is below 1."""
+    if p < 1:
+        raise ValueError(f"processors must be >= 1, got {p}")
+    return p
+
+
 class ParEngine:
     """Parallel-for executor with PRAM-style cost accounting.
 
@@ -98,11 +105,9 @@ class ParEngine:
 
     def __init__(self, processors: int = 1, backend: str = SIMULATED,
                  validate_writes: bool = False):
-        if processors < 1:
-            raise ValueError(f"processors must be >= 1, got {processors}")
+        self.processors = check_processors(processors)
         if backend not in (SIMULATED, THREADED):
             raise ValueError(f"unknown backend {backend!r}")
-        self.processors = processors
         self.backend = backend
         self.validate_writes = validate_writes
         self.histogram: dict[int, int] = {}  # block size -> blocks of that size
@@ -159,10 +164,7 @@ class ParEngine:
     def report(self, p: int | None = None) -> CostReport:
         """The counted cost so far at p processors (default: the engine's
         own), derived from the block-size histogram and the driver steps."""
-        if p is None:
-            p = self.processors
-        elif p < 1:
-            raise ValueError(f"processors must be >= 1, got {p}")
+        p = self.processors if p is None else check_processors(p)
         time_steps = sync_steps = work = 0
         for k, c in self.histogram.items():
             time_steps += c * -(-k // p)

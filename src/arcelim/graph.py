@@ -20,9 +20,16 @@ The same adjacency is held twice, and both are read-only:
 * ``off`` (n+1) and ``tgt`` (m), compressed sparse rows as unsigned
   ``array(ID)``, the one typecode of every stored vertex and arc id: u's
   targets are ``tgt[off[u]:off[u+1]]``, and arc ids are positions in ``tgt``.
-  Every search structure built over the graph shares these two arrays
-  instead of copying them, so a caller must never write to them.  The
-  serializer reads them too.
+
+A third array, ``in_off`` (n+1), gives the in-table offsets: v's incoming
+arcs take slots ``in_off[v]..in_off[v+1]-1`` of a search structure's
+in-table.  It depends on the arcs alone, so it is counted from ``tgt`` on
+first use, once per graph, and kept; a graph that is never searched never
+counts it.  Every search structure built over the graph shares ``off``,
+``tgt`` and ``in_off`` instead of copying them, so a caller must never
+write to them.  The serializer reads ``off`` and ``tgt`` too.  ``off`` and
+``in_off`` are made at their exact size: an array grown from an iterator
+keeps spare room for as long as the graph lives.
 
 The edge-list reader and writer do their per-arc work in C: the writer
 formats every arc with one ``%``, and the reader takes the writer's own
@@ -49,9 +56,12 @@ MAX_NODES = 1 << 32
 
 
 class Graph:
-    """Immutable, validated digraph over vertices 0..n-1 with ordered adjacency arrays."""
+    """Immutable, validated digraph over vertices 0..n-1 with ordered
+    adjacency arrays ``off`` and ``tgt`` and, from first use, the in-table
+    offsets ``in_off``, all read-only and shared by every search structure
+    built over it."""
 
-    __slots__ = ("out_lists", "off", "tgt", "num_vertices", "num_arcs")
+    __slots__ = ("out_lists", "off", "tgt", "num_vertices", "num_arcs", "_in_off")
 
     def __init__(self, lists: Iterable[Sequence[int]]):
         """Build and validate a graph from per-vertex target sequences.
@@ -59,7 +69,8 @@ class Graph:
         Adjacency order is preserved exactly as given.  Raises
         TargetNotInteger, TargetOutOfRange or DuplicateArc on invalid
         input; no partially constructed graph escapes.  Every search
-        structure shares ``off`` and ``tgt``: treat them as read-only.
+        structure shares ``off``, ``tgt`` and ``in_off``: treat them as
+        read-only.
         """
         out_lists = tuple(map(tuple, lists))
         n = len(out_lists)
@@ -69,10 +80,24 @@ class Graph:
         if tgt is None or tgt and max(tgt) >= n:
             _reject(out_lists)
         self.out_lists = out_lists
-        self.off = array(ID, accumulate(map(len, out_lists), initial=0))
+        self.off = _offsets(map(len, out_lists), n)
         self.tgt = tgt
         self.num_vertices = n
         self.num_arcs = len(tgt)
+        self._in_off: array | None = None
+
+    @property
+    def in_off(self) -> array:
+        """The n+1 in-table offsets, the prefix sums of the in-degrees:
+        v's incoming arcs take slots ``in_off[v]..in_off[v+1]-1``.  Counted
+        from ``tgt`` on first read and kept, so every later read, and every
+        search structure, gets the same array."""
+        if self._in_off is None:
+            counts = [0] * self.num_vertices
+            for v in self.tgt:
+                counts[v] += 1
+            self._in_off = _offsets(counts, self.num_vertices)
+        return self._in_off
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.off == other.off and self.tgt == other.tgt
@@ -82,6 +107,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_arcs})"
+
+
+def _offsets(counts: Iterable[int], n: int) -> array:
+    """The n+1 prefix sums, from 0, of n ``counts`` in an exact-size
+    ``array(ID)``: an array grown from an iterator keeps spare room, so the
+    sums are copied into a zero-filled one."""
+    off = array(ID, [0]) * (n + 1)
+    off[1:] = array(ID, accumulate(counts))
+    return off
 
 
 def _flatten(out_lists: tuple) -> array | None:

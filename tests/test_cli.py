@@ -463,6 +463,34 @@ class TestParsing:
         assert captured.err == f"error: {message}\n"
 
 
+class TestProcessorCount:
+    """A processor count below 1 is refused with ParEngine's own text
+    before any graph is read or made."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "dfs", "missing.el", "--procs", "0"],
+        ["verify", "missing.el", "--procs", "0"],
+        ["bench", "--family", "gnm", "--sizes", "4000:80000", "--procs", "0,2"],
+        ["bench", "--family", "path", "--sizes", "6", "--procs", "2,0"],
+    ], ids=["run", "verify", "bench-first", "bench-later"])
+    def test_refused_before_any_graph(self, capsys, monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(cli, "_read_graph", lambda *a: calls.append("read"))
+        monkeypatch.setattr(cli, "_make_graph", lambda *a: calls.append("graph"))
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append("solve"))
+        assert main(args) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: processors must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_wins_over_an_unreadable_file(self, tmp_path, capsys, command):
+        args = ["run", "dfs"] if command == "run" else ["verify"]
+        assert main(args + [str(tmp_path / "missing.el"), "--procs", "-1"]) == 2
+        assert capsys.readouterr().err == "error: processors must be >= 1, got -1\n"
+
+
 class TestOutOfMemory:
     def test_memory_error_exits_3_with_one_line(self, monkeypatch, capsys):
         def exhausted(path):

@@ -123,8 +123,9 @@ class TestBuild:
         assert monitor.stats["eliminations"] == 1
 
     def test_last_vertex_has_incoming_arcs(self):
-        """The last vertex's cursor is the one the pre-pass shifted past the
-        old end of ``in_off``; it must end at m."""
+        """The last vertex's cursor is the last cell of the cursor copy,
+        which holds n of ``in_off``'s n + 1 cells; its in-table must end
+        at m."""
         eg = ElimGraph(Graph([[2], [0, 2], []]))
         assert eg.in_off == array(ID, [0, 1, 1, 3])
         assert in_table(eg, 2) == [(0, 0), (1, 1)]
@@ -251,7 +252,39 @@ class TestSharedAdjacency:
         assert first.off is g.off and second.off is g.off
         assert first.tgt is g.tgt and second.tgt is g.tgt
 
+    def test_in_off_is_the_graphs_own(self):
+        """The in-table offsets depend on the graph alone: it counts them
+        once, and every structure over it, on any engine, with or without
+        a monitor, holds that one array."""
+        g = sample9()
+        in_off = g.in_off
+        with ParEngine(3, backend=THREADED, validate_writes=True) as eng:
+            structures = [ElimGraph(g), ElimGraph.build(g), ElimGraph(g, eng),
+                          ElimGraph(g, monitor=InvariantMonitor(PARANOID))]
+        assert all(eg.in_off is in_off for eg in structures)
+
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_solves_leave_the_graph_arrays_as_they_were(self, backend, validate):
+        """A build writes its in-table through a copy of the cursors, and
+        no visit or ``eliminate`` writes to a graph array: ``off``, ``tgt``
+        and ``in_off`` keep their cells through every kind of solve."""
+        g = gnm(40, 150, 11)
+        before = [array(ID, a) for a in (g.off, g.tgt, g.in_off)]
+        for run in (dfs, bfs, None):
+            with ParEngine(2, backend=backend, validate_writes=validate) as eng:
+                eg = ElimGraph(g, eng)
+                if run is None:
+                    for a in (0, g.num_arcs // 2, g.num_arcs - 1):
+                        eg.eliminate(a)
+                else:
+                    run(eg, 0, 0, eng)
+            assert [g.off, g.tgt, g.in_off] == before
+
     def test_build_allocates_only_its_own_state(self):
+        """The structure allocates its in-table and live lists and the
+        result cells; ``in_off`` is the graph's, counted by the warm-up
+        build, and the cursor copy is freed before the build returns."""
         g = gnm(2000, 20000, seed=1)
         ElimGraph(g)  # warm the caches and code paths the build touches
         gc.collect()
@@ -263,7 +296,7 @@ class TestSharedAdjacency:
         finally:
             tracemalloc.stop()
         own = sum(sys.getsizeof(getattr(eg, name)) for name in
-                  ("in_off", "in_arc", "nxt", "prv", "traversal", "distance", "parent"))
+                  ("in_arc", "nxt", "prv", "traversal", "distance", "parent"))
         # a copy of the out-lists would add 4m + 4n = 88,000 bytes
         assert own <= kept <= own + 4096
 
@@ -271,13 +304,16 @@ class TestSharedAdjacency:
     @pytest.mark.parametrize("g", [path(1000), gnm(300, 2000, seed=1), Graph([[]]), Graph([])],
                              ids=repr)
     def test_state_arrays_have_no_spare_room(self, g):
-        """Every kept array is allocated at its exact size: an array grown
-        from an iterator keeps room for more cells for the whole solve."""
+        """Every kept array, the structure's and the graph's offsets, is
+        allocated at its exact size: an array grown from an iterator keeps
+        room for more cells for the whole solve."""
         eg = ElimGraph(g)
         n, m = g.num_vertices, g.num_arcs
         for name, cells in (("in_off", n + 1), ("in_arc", m), ("nxt", m + n), ("prv", m + n),
                             ("traversal", n), ("distance", n), ("parent", n)):
             assert sys.getsizeof(getattr(eg, name)) == sys.getsizeof(array(ID, [0]) * cells), name
+        for name in ("off", "in_off"):
+            assert sys.getsizeof(getattr(g, name)) == sys.getsizeof(array(ID, [0]) * (n + 1)), name
 
 
 class TestEliminate:
@@ -450,8 +486,9 @@ class TestWriteValidation:
         assert solve_peak(g, bfs, True)[0] - solve_peak(g, bfs, False)[0] <= 1.1 * 40 * n
 
 
-# the arrays a search structure keeps; the result takes over the last three
-KEPT = ("in_off", "in_arc", "nxt", "prv", "traversal", "distance", "parent")
+# the arrays a search structure allocates and keeps; the result takes over
+# the last three, and ``in_off`` is the graph's
+KEPT = ("in_arc", "nxt", "prv", "traversal", "distance", "parent")
 
 
 def solve_peak(g, run, validate=False):
@@ -472,12 +509,22 @@ def solve_peak(g, run, validate=False):
 class TestMemory:
     def test_solve_peak_per_vertex(self):
         """Each vertex's number, parent and distance is one 4-byte cell, not
-        a list slot, a tuple slot and an int object: a path(20000) bfs
-        solve peaks at no more than 40 B per vertex."""
+        a list slot, a tuple slot and an int object, and the in-table
+        offsets are the graph's, counted by an earlier solve: a path(20000)
+        bfs solve peaks at no more than 33 B per vertex."""
         n = 20000
         g = path(n)
         solve_peak(g, bfs)  # warm the caches and code paths the solve touches
-        assert solve_peak(g, bfs)[0] <= 40 * n
+        assert solve_peak(g, bfs)[0] <= 33 * n
+
+    def test_first_solve_peak_per_vertex(self):
+        """A graph's first solve also counts its in-table offsets, 4 B per
+        vertex that the graph keeps, and frees the count and the cursor
+        before the result cells are made: a fresh path(20000) bfs solve
+        peaks at no more than 37 B per vertex."""
+        n = 20000
+        solve_peak(path(n), bfs)  # warm the code paths, on another graph
+        assert solve_peak(path(n), bfs)[0] <= 37 * n
 
     @pytest.mark.parametrize("graph,run", [("gnm", dfs), ("path", dfs), ("path", bfs)])
     def test_solve_peak_is_the_kept_state(self, graph, run):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -239,6 +240,51 @@ class TestGraphObject:
         g = Graph([[2, 1], [], [0]])
         arcs = [(u, g.tgt[a]) for u in range(g.num_vertices) for a in range(g.off[u], g.off[u + 1])]
         assert arcs == [(0, 2), (0, 1), (2, 0)]
+
+
+def in_degree_prefix_sums(g):
+    """0, then the running total of the in-degrees, counted from out_lists."""
+    indegree = [0] * g.num_vertices
+    for targets in g.out_lists:
+        for v in targets:
+            indegree[v] += 1
+    return [0, *accumulate(indegree)]
+
+
+IN_OFF_GRAPHS = {
+    "sample9": sample9,
+    "path": lambda: generators.path(50),
+    "gnm": lambda: gnm(60, 400, 2),
+    "isolated vertices": lambda: Graph([[], [3, 0], [], [], [1, 4], [], []]),
+    "Graph([])": lambda: Graph([]),
+    "Graph([[]])": lambda: Graph([[]]),
+}
+
+
+class TestInOffsets:
+    """``in_off`` is the prefix sums of the in-degrees, counted from ``tgt``
+    on first read and kept."""
+
+    @pytest.mark.parametrize("name", IN_OFF_GRAPHS)
+    def test_prefix_sums_of_in_degrees(self, name):
+        g = IN_OFF_GRAPHS[name]()
+        in_off = g.in_off
+        assert in_off.typecode == graph.ID
+        assert in_off.tolist() == in_degree_prefix_sums(g)
+        assert g.in_off is in_off and g.in_off is in_off
+
+    def test_counted_on_first_read_only(self):
+        """Building a graph counts nothing, so a set-up that never searches
+        the graph never pays for the count."""
+        g = gnm(60, 400, 2)
+        assert g._in_off is None
+        in_off = g.in_off
+        assert g._in_off is in_off
+
+    def test_equality_and_hash_ignore_in_off(self):
+        read, unread = gnm(40, 200, 3), gnm(40, 200, 3)
+        read.in_off
+        assert read == unread and hash(read) == hash(unread)
 
 
 class TestSetUpMemory:

@@ -552,11 +552,13 @@ class TestSweep:
 class TestSharedAdjacency:
     @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
     def test_traversals_leave_the_graph_as_built(self, backend):
-        """Every search structure over one graph reads its off/tgt arrays;
-        validated, monitored traversals on fresh structures leave them and
-        out_lists as they were, and each result equals the oracle's."""
+        """Every search structure over one graph reads its off/tgt/in_off
+        arrays; validated, monitored traversals on fresh structures leave
+        them and out_lists as they were, and each result equals the
+        oracle's."""
         g = gnm(40, 150, 11)
         off, tgt, out_lists = g.off.tolist(), g.tgt.tolist(), g.out_lists
+        in_off = g.in_off.tolist()
         runs = [
             (lambda eg, e: dfs(eg, 0, 0, e), seq_dfs(g, 0)),
             (lambda eg, e: bfs(eg, 0, 0, e), seq_bfs(g, 0)),
@@ -567,10 +569,11 @@ class TestSharedAdjacency:
             monitor = InvariantMonitor(COUNTERS)
             with ParEngine(2, backend=backend, validate_writes=True) as engine:
                 eg = ElimGraph(g, engine, monitor)
-                assert eg.off is g.off and eg.tgt is g.tgt
+                assert eg.off is g.off and eg.tgt is g.tgt and eg.in_off is g.in_off
                 assert search(eg, engine) == want
             assert monitor.stats["eliminations"] > 0
             assert g.off.tolist() == off and g.tgt.tolist() == tgt
+            assert g.in_off.tolist() == in_off
             assert g.out_lists is out_lists
 
 
