@@ -12,7 +12,7 @@ Results are identical for every processor count and backend, and equal
 to the sequential textbook procedures in oracle.py.
 """
 from .elim import ElimGraph
-from .engine import SIMULATED, THREADED, CostReport, ParEngine
+from .engine import BACKENDS, SIMULATED, THREADED, CostReport, ParEngine
 from .errors import (
     AlreadyEliminated,
     CountMismatch,
@@ -58,6 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlreadyEliminated",
+    "BACKENDS",
     "BFS",
     "COUNTERS",
     "CostReport",

@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import generators
-from .engine import SIMULATED, THREADED, check_processors
-from .errors import GraphError, InvalidStart
-from .graph import Graph, parse_edge_list, serialize_edge_list
+from .engine import BACKENDS, SIMULATED, THREADED, check_processors
+from .errors import GraphError
+from .graph import Graph, check_start, parse_edge_list, serialize_edge_list
 from .traverse import KINDS, solve, verify_against_oracle
 
 OUT_OF_MEMORY = 3
@@ -143,12 +143,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     n = g.num_vertices
     if n == 0:  # fail as run does: there is no start vertex
-        raise InvalidStart(0, 0)
+        check_start(0, 0)
     if starts is None:
         starts = range(n)
     for s in starts:
-        if not 0 <= s < n:
-            raise InvalidStart(s, n)
+        check_start(s, n)
     checked = 0
     failed = 0
     for s in starts:
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--start", type=int, default=0)
     run.add_argument("--a0", type=int, default=0, help="first traversal number")
     run.add_argument("--procs", type=int, default=1)
-    run.add_argument("--mode", choices=[SIMULATED, THREADED], default=SIMULATED)
+    run.add_argument("--mode", choices=BACKENDS, default=SIMULATED)
     run.add_argument(
         "--trace", action="store_true", help="log each visit to stderr once the run returns"
     )
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--kinds", default="both", help="dfs, bfs, or both")
     verify.add_argument("--starts", default="all", help="comma-separated ids, or all")
     verify.add_argument("--procs", type=int, default=1)
-    verify.add_argument("--mode", choices=[SIMULATED, THREADED], default=SIMULATED)
+    verify.add_argument("--mode", choices=BACKENDS, default=SIMULATED)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="emit a CSV of cost-model measurements")
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--procs", default="1,2,4,8", help="comma-separated p values")
     bench.add_argument("--kinds", default="both", help="dfs, bfs, or both")
-    bench.add_argument("--mode", choices=[SIMULATED, THREADED], default=SIMULATED)
+    bench.add_argument("--mode", choices=BACKENDS, default=SIMULATED)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--start", type=int, default=0)
     bench.add_argument("--out", default="-", help="CSV path, - for stdout")

@@ -42,14 +42,14 @@ An optional validation mode records every location mutated within a block
 and fails the block on any duplicate, enforcing the exclusive-write
 contract.  Bodies report locations to ``log_write``, which is None unless
 the engine validates and is otherwise the log's own ``list.append``, atomic
-on either backend; after the join only the driver reads the log.  A cell is
-any hashable value; the search structure logs one int per cell.  A log of
-fewer than 2 cells cannot hold a duplicate and is not checked.  A log of
-fewer than 64 cells is checked with a set.  A longer one passes in one scan
-with no copy if it already rises strictly, as a block over ascending cells
-logs them; otherwise it is sorted and scanned, which holds one pointer per
-cell where a set holds several.  Only cells that do not sort into a
-strictly rising sequence are hashed.
+on either backend; it is the engine's one validation switch, and after the
+join only the driver reads the log.  A cell is an int: the search
+structure logs ``4 * index + kind``.  A log of fewer than 2 cells cannot
+hold a duplicate and is not checked.  A log of fewer than 64 cells is
+checked with a set.  A longer one passes in one scan with no copy if it
+already rises strictly, as a block over ascending cells logs them;
+otherwise it is sorted and scanned, which holds one pointer per cell where
+a set holds several.
 """
 from __future__ import annotations
 
@@ -63,6 +63,7 @@ from .errors import DisjointWriteViolation
 
 SIMULATED = "simulated"
 THREADED = "threaded"
+BACKENDS = (SIMULATED, THREADED)
 
 # the log length from which a block's writes are checked by sorting, not
 # hashing: a set is faster on the short logs of most blocks
@@ -106,15 +107,14 @@ class ParEngine:
     def __init__(self, processors: int = 1, backend: str = SIMULATED,
                  validate_writes: bool = False):
         self.processors = check_processors(processors)
-        if backend not in (SIMULATED, THREADED):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
-        self.validate_writes = validate_writes
         self.histogram: dict[int, int] = {}  # block size -> blocks of that size
         self.seq_steps = 0
         self._pool: _WorkerPool | None = None
         self._closed = False
-        self._write_log: list = []
+        self._write_log: list[int] = []
         self.log_write = self._write_log.append if validate_writes else None
 
     # -- execution ----------------------------------------------------------
@@ -141,7 +141,7 @@ class ParEngine:
                 pool = self._pool = _WorkerPool(self.processors)
         histogram = self.histogram
         histogram[count] = histogram.get(count, 0) + 1
-        validate = self.validate_writes
+        validate = self.log_write is not None
         if validate:
             self._write_log.clear()
         if pool is None:
@@ -178,15 +178,10 @@ class ParEngine:
         """Raise DisjointWriteViolation on the first cell, in log order,
         that the block logged twice."""
         log = self._write_log
-        if len(log) >= _SORTED_CHECK_FROM:
-            try:
-                # a log that rises as logged needs no sorted copy; anything
-                # that does not rise once sorted, such as sets, which order
-                # only by inclusion, goes to the scan
-                if _rises(log) or _rises(sorted(log)):
-                    return
-            except TypeError:  # cells that do not compare: the scan hashes them
-                pass
+        # a long log that rises as logged needs no sorted copy; one that
+        # does not rise once sorted holds a duplicate, which the scan names
+        if len(log) >= _SORTED_CHECK_FROM and (_rises(log) or _rises(sorted(log))):
+            return
         seen = set()
         for cell in log:
             if cell in seen:
@@ -216,7 +211,7 @@ class ParEngine:
         return f"ParEngine(processors={self.processors}, backend={self.backend!r})"
 
 
-def _rises(cells: list) -> bool:
+def _rises(cells: list[int]) -> bool:
     """Whether the cells rise strictly, and so are pairwise distinct."""
     return all(map(lt, cells, islice(cells, 1, None)))
 

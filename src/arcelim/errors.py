@@ -135,7 +135,7 @@ class ElimGraphReused(GraphError):
 class DisjointWriteViolation(GraphError):
     """Two bodies of the same parallel block wrote the same location."""
 
-    def __init__(self, cell: tuple):
+    def __init__(self, cell: object):
         self.cell = cell
         super().__init__(f"location {cell!r} written twice within one parallel block")
 

@@ -45,7 +45,8 @@ from operator import index, mul, sub
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (CountMismatch, DuplicateArc, DuplicateArcLine, EdgeListSyntaxError,
-                     GraphTooLarge, TargetNotInteger, TargetOutOfRange, TargetOutOfRangeLine)
+                     GraphTooLarge, InvalidStart, TargetNotInteger, TargetOutOfRange,
+                     TargetOutOfRangeLine)
 
 ID = "I"  # array typecode of arc and vertex ids
 # the most vertices an id of that type numbers: ids run to n - 1, and
@@ -107,6 +108,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_arcs})"
+
+
+def check_start(s: int, n: int) -> None:
+    """Raise InvalidStart unless s is a vertex of a graph of n vertices:
+    ``0 <= s < n``."""
+    if not 0 <= s < n:
+        raise InvalidStart(s, n)
 
 
 def _offsets(counts: Iterable[int], n: int) -> array:

@@ -16,8 +16,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 
-from .errors import InvalidStart
-from .graph import ID, Graph
+from .graph import ID, Graph, check_start
 from .result import ABSENT, TraversalResult
 
 
@@ -38,8 +37,7 @@ def seq_dfs(g: Graph, s: int, a: int = 0) -> TraversalResult:
     visit and hold about 50 B more per open vertex.
     """
     n = g.num_vertices
-    if not 0 <= s < n:
-        raise InvalidStart(s, n)
+    check_start(s, n)
     traversal = array(ID, [ABSENT]) * n
     parent = array(ID, [ABSENT]) * n
     seen = [False] * n
@@ -61,7 +59,7 @@ def seq_dfs(g: Graph, s: int, a: int = 0) -> TraversalResult:
         else:
             stack.pop()
             u = parent[u]
-    return TraversalResult.collect(traversal, parent, array(ID, [ABSENT]) * n, a + k, k)
+    return TraversalResult.collect(traversal, parent, array(ID, [ABSENT]) * n, a, k)
 
 
 def seq_bfs(g: Graph, s: int, a: int = 0) -> TraversalResult:
@@ -71,8 +69,7 @@ def seq_bfs(g: Graph, s: int, a: int = 0) -> TraversalResult:
     the first discovery.
     """
     n = g.num_vertices
-    if not 0 <= s < n:
-        raise InvalidStart(s, n)
+    check_start(s, n)
     traversal = array(ID, [ABSENT]) * n
     parent = array(ID, [ABSENT]) * n
     distance = array(ID, [ABSENT]) * n
@@ -92,4 +89,4 @@ def seq_bfs(g: Graph, s: int, a: int = 0) -> TraversalResult:
                 parent[v] = u
                 distance[v] = distance[u] + 1
                 q.append(v)
-    return TraversalResult.collect(traversal, parent, distance, a + k, k)
+    return TraversalResult.collect(traversal, parent, distance, a, k)

@@ -82,14 +82,13 @@ class TraversalResult:
 
     @classmethod
     def collect(cls, traversal: array, parent: array, distance: array,
-                next_number: int, visited_count: int) -> "TraversalResult":
-        """The result of a run that visited ``visited_count`` vertices and
-        numbered up to ``next_number``, from its ``array(ID)`` cells, visit
-        numbers stored less the first number.  The result takes the cells
-        without a copy, so nothing may write to them after."""
-        a = next_number - visited_count
+                a: int, visited_count: int) -> "TraversalResult":
+        """The result of a run that numbered ``visited_count`` vertices
+        from ``a``, from its ``array(ID)`` cells, visit numbers stored less
+        a.  The result takes the cells without a copy, so nothing may write
+        to them after."""
         return cls(Column(traversal, a), Column(parent), Column(distance),
-                   visited_count, next_number)
+                   visited_count, a + visited_count)
 
     def visited(self) -> list[int]:
         """Vertex ids with a traversal number, in visit order."""

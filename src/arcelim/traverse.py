@@ -46,8 +46,8 @@ from typing import Callable, Iterable, Optional
 
 from .elim import ElimGraph
 from .engine import SIMULATED, CostReport, ParEngine
-from .errors import ElimGraphReused, InvalidStart
-from .graph import ID, Graph
+from .errors import ElimGraphReused
+from .graph import ID, Graph, check_start
 from .instrument import InvariantMonitor
 from .oracle import seq_bfs, seq_dfs
 from .result import ABSENT, TraversalResult
@@ -138,12 +138,6 @@ def _lookup(kind: str) -> Driver:
     return _SEARCHES[kind][0]
 
 
-def _check_start(s: int, n: int) -> None:
-    """A start must be a vertex: ``0 <= s < n``."""
-    if not 0 <= s < n:
-        raise InvalidStart(s, n)
-
-
 def _check_engine(eg: ElimGraph, given: Optional[ParEngine]) -> None:
     """``engine=``, if given, must be the one the structure was built on."""
     if given is not None and given is not eg.engine:
@@ -165,7 +159,7 @@ def _search(eg: ElimGraph, starts: Iterable[int], driver: Driver, a: int) -> Tra
             k = driver(eg, s, k)
     if eg.monitor is not None:
         eg.monitor.finish()
-    return TraversalResult.collect(traversal, eg.parent, eg.distance, a + k, k)
+    return TraversalResult.collect(traversal, eg.parent, eg.distance, a, k)
 
 
 def dfs(eg: ElimGraph, s: int, a: int = 0,
@@ -177,7 +171,7 @@ def dfs(eg: ElimGraph, s: int, a: int = 0,
     the recursive procedure would, because visiting the child eliminated
     the arc that was scanned.
     """
-    _check_start(s, eg.n)
+    check_start(s, eg.n)
     _check_engine(eg, engine)
     return _search(eg, (s,), _dfs, a)
 
@@ -191,7 +185,7 @@ def bfs(eg: ElimGraph, s: int, a: int = 0,
     vertex's incoming arcs up front guarantees no vertex enters a queue
     twice, and no live arc ever connects two members of the next queue.
     """
-    _check_start(s, eg.n)
+    check_start(s, eg.n)
     _check_engine(eg, engine)
     return _search(eg, (s,), _bfs, a)
 
@@ -208,10 +202,14 @@ def sweep(eg: ElimGraph, kind: str, a: int = 0,
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Field-by-field comparison of two traversal results."""
+    """Field-by-field comparison of two traversal results: one line per
+    mismatch, and ``ok`` when there is none."""
 
-    ok: bool
     mismatches: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
 
 def compare_results(driver: TraversalResult, oracle: TraversalResult) -> MatchReport:
@@ -220,7 +218,7 @@ def compare_results(driver: TraversalResult, oracle: TraversalResult) -> MatchRe
         diffs.append(
             f"vertex count: driver={len(driver.traversal)} oracle={len(oracle.traversal)}"
         )
-        return MatchReport(False, tuple(diffs))
+        return MatchReport(tuple(diffs))
     for field in ("traversal", "parent", "distance"):
         got = getattr(driver, field)
         want = getattr(oracle, field)
@@ -237,7 +235,7 @@ def compare_results(driver: TraversalResult, oracle: TraversalResult) -> MatchRe
         diffs.append(
             f"next_number: driver={driver.next_number} oracle={oracle.next_number}"
         )
-    return MatchReport(not diffs, tuple(diffs))
+    return MatchReport(tuple(diffs))
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def solve(g: Graph, kind: str, start: int = 0, a: int = 0, processors: int = 1,
     ``kind`` search from ``start``, numbering from a.  ``validate`` checks
     every block's writes, and ``monitor``, if given, watches the run."""
     driver = _lookup(kind)
-    _check_start(start, g.num_vertices)
+    check_start(start, g.num_vertices)
     with ParEngine(processors, backend=backend, validate_writes=validate) as engine:
         t0 = perf_counter_ns()
         eg = ElimGraph(g, engine, monitor)

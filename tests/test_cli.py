@@ -251,7 +251,7 @@ class TestVerify:
 
     def test_mismatch_reported_with_vertex(self, sample_file, capsys, monkeypatch):
         """Negative control: force one disagreement through the report path."""
-        forged = MatchReport(False, ("traversal[4]: driver=1 oracle=2",))
+        forged = MatchReport(("traversal[4]: driver=1 oracle=2",))
         monkeypatch.setattr(
             "arcelim.cli.verify_against_oracle", lambda *a, **k: forged
         )

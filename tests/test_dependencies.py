@@ -51,9 +51,10 @@ def test_every_array_has_the_one_id_typecode():
     assert [call for call in typecodes if call[2] != "ID"] == []
 
 
-def test_only_the_engine_reads_validate_writes():
-    """Bodies get ``engine.log_write``, None unless validating; no other
-    module asks the engine whether it validates."""
+def test_no_module_reads_validate_writes():
+    """An engine holds its validation switch once, as ``log_write``, None
+    unless validating: ``validate_writes`` is only the constructor's
+    keyword, and no module, the engine included, loads it as an attribute."""
     readers = {
         path.name
         for path in PACKAGE.glob("*.py")
@@ -61,7 +62,7 @@ def test_only_the_engine_reads_validate_writes():
         if isinstance(node, ast.Attribute) and node.attr == "validate_writes"
         and isinstance(node.ctx, ast.Load)
     }
-    assert readers == {"engine.py"}
+    assert readers == set()
 
 
 def functions_with(path, attr=None, param=None, call=None):
@@ -124,6 +125,33 @@ def test_only_solve_opens_an_engine():
         for name in functions_with(path, call="ParEngine")
     }
     assert openers == {("traverse.py", "solve"), ("elim.py", "ElimGraph.__init__")}
+
+
+def test_one_start_check():
+    """What a valid start is, ``0 <= s < n``, is written once:
+    ``InvalidStart`` is raised only in ``graph.check_start``, which the
+    drivers, the oracles, ``solve`` and the CLI call."""
+    raisers = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in functions_with(path, call="InvalidStart")
+    }
+    assert raisers == {("graph.py", "check_start")}
+
+
+def test_one_backend_list():
+    """The backends are listed once, as ``engine.BACKENDS``: no other
+    tuple, list or set in the package names both ``SIMULATED`` and
+    ``THREADED``."""
+    lists = [
+        (path.name, ast.unparse(parent))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for parent in ast.walk(ast.parse(path.read_text(), str(path)))
+        for node in ast.iter_child_nodes(parent)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and {"SIMULATED", "THREADED"} <= {e.id for e in node.elts if isinstance(e, ast.Name)}
+    ]
+    assert lists == [("engine.py", "BACKENDS = (SIMULATED, THREADED)")]
 
 
 def test_one_dispatch_on_the_kind():

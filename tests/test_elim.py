@@ -474,6 +474,19 @@ class TestWriteValidation:
         assert str(DisjointWriteViolation(cell)) == (
             f"location ('{name}', 17) written twice within one parallel block")
 
+    @pytest.mark.parametrize("backend", [SIMULATED, THREADED])
+    def test_log_holds_at_most_the_last_block(self, backend):
+        """The engine clears the log before every block it validates and
+        logs nothing otherwise: after a dfs, an unvalidated engine's log is
+        empty and a validated one's holds only the last visit's block, two
+        cells per incoming arc of the last vertex visited."""
+        g = gnm(300, 3000, 1)
+        for validate in (False, True):
+            with ParEngine(2, backend=backend, validate_writes=validate) as eng:
+                eg = ElimGraph(g, eng)
+                last = dfs(eg, 0).visited()[-1]
+            assert len(eng._write_log) == (2 * indegree(eg, last) if validate else 0)
+
     def test_validating_solve_peak_is_bounded_by_the_log(self):
         """Validation adds to a path(20000) bfs solve's peak no more than
         the log of its largest block, the init block's n cells, at 40 B a
@@ -540,8 +553,8 @@ class TestMemory:
 
 
 class RecordingEngine(ParEngine):
-    """Keeps every body passed to ``par_for`` and, in validation mode, the
-    cells each block logged, decoded to ``(name, index)``."""
+    """Keeps every body passed to ``par_for`` and, when ``log_write`` is
+    set, the cells each block logged, decoded to ``(name, index)``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -551,7 +564,7 @@ class RecordingEngine(ParEngine):
     def par_for(self, count, body):
         self.bodies.append(body)
         super().par_for(count, body)
-        if self.validate_writes:
+        if self.log_write is not None:
             self.cells.append([cell_name(c) for c in self._write_log])
 
 

@@ -92,7 +92,7 @@ def textbook_sweep(g, kind):
                         break
                 else:
                     stack.pop()
-    return TraversalResult.collect(traversal, parent, distance, number, number)
+    return TraversalResult.collect(traversal, parent, distance, 0, number)
 
 
 def tree_edges(res):
@@ -378,7 +378,7 @@ class TestOracleAgreement:
 
         driver = seq_dfs(path(3), 0)
         forged = TraversalResult.collect(array(ID, [0, 2, 1]), array(ID, [ABSENT, 0, 1]),
-                                         array(ID, [ABSENT]) * 3, 3, 3)
+                                         array(ID, [ABSENT]) * 3, 0, 3)
         report = compare_results(driver, forged)
         assert not report.ok
         assert report.mismatches[0] == "traversal[1]: driver=1 oracle=2"
@@ -389,7 +389,14 @@ class TestOracleAgreement:
         (replace(seq_dfs(path(3), 0), next_number=7), "next_number: driver=3 oracle=7"),
     ])
     def test_count_mismatch_is_named(self, oracle, message):
-        assert compare_results(seq_dfs(path(3), 0), oracle) == MatchReport(False, (message,))
+        report = compare_results(seq_dfs(path(3), 0), oracle)
+        assert report == MatchReport((message,)) and not report.ok
+
+    def test_ok_is_the_absence_of_mismatches(self):
+        """``ok`` is read from the mismatches, so no report can say both."""
+        assert MatchReport(()).ok
+        assert not MatchReport(("x",)).ok
+        assert compare_results(seq_dfs(path(3), 0), seq_dfs(path(3), 0)) == MatchReport(())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -480,9 +487,9 @@ class TestResult:
         """Equal values compare and hash equal however the cells were filled."""
         res, _ = run(DFS, path(3), 0, 10)
         parent, distance = array(ID, [ABSENT, 0, 1]), array(ID, [ABSENT]) * 3
-        packed = TraversalResult.collect(array(ID, [0, 1, 2]), parent, distance, 13, 3)
+        packed = TraversalResult.collect(array(ID, [0, 1, 2]), parent, distance, 10, 3)
         assert packed == res and hash(packed) == hash(res)
-        other = TraversalResult.collect(array(ID, [0, 2, 1]), parent, distance, 13, 3)
+        other = TraversalResult.collect(array(ID, [0, 2, 1]), parent, distance, 10, 3)
         assert other != res
 
     def test_columns_compare_by_value_across_bases(self):
@@ -520,6 +527,13 @@ class TestSweep:
         assert list(res.traversal) == [0, 1, 2, 3, 4]
         assert list(res.parent) == [None, 0, None, 2, None]
         assert res.next_number == 5
+
+    def test_empty_sweeps_from_different_numbers_differ(self):
+        """A run that visits nothing still keeps the number it started
+        from: ``next_number`` tells two such results apart."""
+        from_0, from_5 = (sweep(ElimGraph(Graph([])), DFS, a) for a in (0, 5))
+        assert (from_0.next_number, from_5.next_number) == (0, 5)
+        assert from_0 != from_5
 
     def test_bfs_sweep_distances_per_component(self):
         g = Graph([[1], [], [3], [], []])
@@ -643,8 +657,7 @@ class TestTrace:
             got = sweep(eg, kind, a)
             ref = textbook_sweep(g, kind)  # numbered from 0: rebased to a below
             want = TraversalResult.collect(ref.traversal._cells, ref.parent._cells,
-                                           ref.distance._cells, a + ref.visited_count,
-                                           ref.visited_count)
+                                           ref.distance._cells, a, ref.visited_count)
         else:
             s = data.draw(st.integers(0, n - 1), label="start")
             got = (dfs if kind == DFS else bfs)(eg, s, a)
